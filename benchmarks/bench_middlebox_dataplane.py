@@ -22,7 +22,8 @@ from _common import emit, format_table
 
 from repro.mctls import keys as mk
 from repro.mctls.contexts import Permission
-from repro.mctls.record import McTLSRecordLayer, MiddleboxRecordProcessor, split_records
+from repro.framing import MCTLS_DEFAULT
+from repro.mctls.record import McTLSRecordLayer, MiddleboxRecordProcessor
 from repro.tls.ciphersuites import SUITE_DHE_RSA_SHACTR_SHA256 as SUITE
 from repro.tls.record import APPLICATION_DATA
 
@@ -42,13 +43,15 @@ def _sender(context_ids=(1,)):
     return layer
 
 
-def _records(n):
+def _fragments(n):
+    """Fragments of ``n`` context-1 APPLICATION_DATA records (each wire
+    is one record, so its fragment follows the fixed-size header)."""
     sender = _sender()
-    wires = [sender.encode(APPLICATION_DATA, b"x" * PAYLOAD_LEN, 1) for _ in range(n)]
-    out = []
-    for wire in wires:
-        out.append(next(split_records(bytearray(wire))))
-    return out
+    header_len = MCTLS_DEFAULT.header_len
+    return [
+        sender.encode(APPLICATION_DATA, b"x" * PAYLOAD_LEN, 1)[header_len:]
+        for _ in range(n)
+    ]
 
 
 def _processor(permission):
@@ -60,11 +63,11 @@ def _processor(permission):
 
 
 def _measure(permission, rewrite):
-    records = _records(ROUNDS)
+    fragments = _fragments(ROUNDS)
     proc = _processor(permission)
     start = time.process_time()
-    for content_type, ctx_id, fragment, raw in records:
-        opened = proc.open_record(content_type, ctx_id, fragment)
+    for fragment in fragments:
+        opened = proc.open_record(APPLICATION_DATA, 1, fragment)
         if rewrite and opened.payload is not None:
             proc.rebuild_record(opened, opened.payload[::-1])
     elapsed = time.process_time() - start

@@ -53,14 +53,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.framing import MCTLS_DEFAULT
 from repro.mctls import keys as mk
 from repro.mctls.contexts import Permission
-from repro.mctls.record import (
-    McTLSRecordLayer,
-    MiddleboxRecordProcessor,
-    split_burst,
-    split_records,
-)
+from repro.mctls.record import McTLSRecordLayer, MiddleboxRecordProcessor
+from repro.recbuf import RecordBuffer
 from repro.crypto.provider import OPENSSL
 from repro.tls.ciphersuites import (
     SUITE_DHE_RSA_AES128_CBC_SHA256,
@@ -194,14 +191,26 @@ def _run_mctls_encode_decode(suite, payload, records):
     return elapsed
 
 
+def _wire_buffer(suite, payload, records) -> RecordBuffer:
+    buf = RecordBuffer()
+    buf.append(_wire_stream(suite, payload, records))
+    return buf
+
+
 def _run_middlebox(suite, payload, records, permission, rebuild):
-    wire = _wire_stream(suite, payload, records)
+    """The per-record seed: one record per splitter call, opened with
+    ``open_record`` and, for WRITE, re-protected with ``rebuild_record``."""
+    buf = _wire_buffer(suite, payload, records)
     proc = _processor(suite, permission)
-    buf = bytearray(wire)
+    header_len = MCTLS_DEFAULT.header_len
     out = bytearray()
     start = time.perf_counter()
-    for content_type, ctx_id, fragment, raw in split_records(buf):
-        opened = proc.open_record(content_type, ctx_id, fragment)
+    while True:
+        raw, entries, _ = buf.take_records(MCTLS_DEFAULT, limit=1)
+        if not entries:
+            break
+        content_type, ctx_id, _, _ = entries[0]
+        opened = proc.open_record(content_type, ctx_id, memoryview(raw)[header_len:])
         if rebuild and opened.payload is not None:
             out += proc.rebuild_record(opened, opened.payload)
         else:
@@ -211,19 +220,7 @@ def _run_middlebox(suite, payload, records, permission, rebuild):
     return elapsed
 
 
-# -- batched roles (the batched data-plane PR) -------------------------------
-
-
-def _run_tls_encode_batched(suite, payload, records):
-    writer, _ = _tls_pair(suite)
-    items = [(APPLICATION_DATA, payload)] * BURST
-    bursts, rem = divmod(records, BURST)
-    start = time.perf_counter()
-    for _ in range(bursts):
-        writer.encode_batch(items)
-    if rem:
-        writer.encode_batch(items[:rem])
-    return time.perf_counter() - start
+# -- batched roles -----------------------------------------------------------
 
 
 def _run_tls_decode_batched(suite, payload, records):
@@ -235,18 +232,6 @@ def _run_tls_decode_batched(suite, payload, records):
     elapsed = time.perf_counter() - start
     assert seen == records, f"decoded {seen}/{records} TLS records"
     return elapsed
-
-
-def _run_mctls_encode_batched(suite, payload, records):
-    client = _mctls_layer(suite, True)
-    items = [(APPLICATION_DATA, payload, 1)] * BURST
-    bursts, rem = divmod(records, BURST)
-    start = time.perf_counter()
-    for _ in range(bursts):
-        client.encode_batch(items)
-    if rem:
-        client.encode_batch(items[:rem])
-    return time.perf_counter() - start
 
 
 def _run_mctls_decode_batched(suite, payload, records):
@@ -261,16 +246,21 @@ def _run_mctls_decode_batched(suite, payload, records):
 
 
 def _run_middlebox_batched(suite, payload, records, permission, rebuild):
-    """The forwarding loop of ``McTLSMiddlebox._relay_app_burst``:
-    one framing pass, one batched open per wakeup burst, verbatim runs
-    coalesced into single output chunks, and (for WRITE) one batched
-    rebuild."""
-    wire = _wire_stream(suite, payload, records)
+    """One splitter call for the whole stream, then one ``open_wire_burst``.
+
+    PASSTHROUGH and READ are the relay's own forwarding path
+    (``McTLSMiddlebox._relay_burst`` with no record modified): a
+    processor without read keys skips the burst and forwards one slice;
+    a READ processor verifies every record in order and the verbatim
+    run forwards as one coalesced slice.  WRITE re-protects every record
+    with one ``rebuild_burst``, a path the relay does not take — the
+    relay rebuilds each modified record with ``rebuild_record``.
+    """
+    buf = _wire_buffer(suite, payload, records)
     proc = _processor(suite, permission)
-    buf = bytearray(wire)
     out = []
     start = time.perf_counter()
-    burst, entries, error = split_burst(buf)
+    burst, entries, error = buf.take_records(MCTLS_DEFAULT)
     assert error is None
     if proc.opaque:
         # Fully pass-through processor: one framing pass, one slice.
@@ -313,12 +303,11 @@ ROLES = {
     ),
 }
 
-# Batched twin of each sequential role (SHA-CTR suite only — the AES
-# suite has no vectorized path and falls back to the sequential loop).
+# Batched twin of each per-record role: the same reader or processor fed
+# the whole stream in one splitter call.  Every twin divides by a seed
+# that takes one record per splitter call.
 BATCHED_ROLES = {
-    ("tls", "endpoint-encode-batched"): _run_tls_encode_batched,
     ("tls", "endpoint-decode-batched"): _run_tls_decode_batched,
-    ("mctls", "endpoint-encode-batched"): _run_mctls_encode_batched,
     ("mctls", "endpoint-decode-batched"): _run_mctls_decode_batched,
     ("mctls", "middlebox-passthrough-batched"): lambda s, p, r: _run_middlebox_batched(
         s, p, r, Permission.NONE, False

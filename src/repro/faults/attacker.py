@@ -39,7 +39,7 @@ from repro.faults.mutations import (
 from repro.mctls import keys as mk
 from repro.mctls import record as mrec
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, Permission
-from repro.mctls.middlebox import McTLSMiddlebox, _Side
+from repro.mctls.middlebox import McTLSMiddlebox
 from repro.mctls.record import MiddleboxRecordProcessor, OpenedRecord, mac_input
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
@@ -262,20 +262,17 @@ class MaliciousReader(McTLSMiddlebox):
         self.rewrite = rewrite
         self.forged: List[Tuple[str, int]] = []
 
-    def _handle_protected_record(self, side, content_type, context_id, fragment, raw):
+    def _relay_record(self, side, opened):
         if (
-            content_type != rec.APPLICATION_DATA
-            or context_id != self.target_context
-            or self.permissions.get(context_id) is not Permission.READ
+            opened.content_type != rec.APPLICATION_DATA
+            or opened.context_id != self.target_context
+            or self.permissions.get(opened.context_id) is not Permission.READ
         ):
-            super()._handle_protected_record(side, content_type, context_id, fragment, raw)
-            return
-        processor = self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
-        direction = mk.C2S if side is _Side.CLIENT else mk.S2C
-        opened = processor.open_record(content_type, context_id, fragment)
+            return super()._relay_record(side, opened)
+        processor = self._processor(side)
         forged = forge_reader_record(processor, opened, self.rewrite(opened.payload))
-        self.forged.append((direction, opened.seq))
-        self._out_for(side).append(forged)
+        self.forged.append((processor.direction, opened.seq))
+        return forged
 
 
 __all__ = [

@@ -545,11 +545,11 @@ def run_cell(
     With ``burst=True`` the application phase queues three records and
     pumps them through the chain as ONE multi-record flight, with the
     tampering aimed at the middle record (``record_index=1``) — so the
-    mutation lands mid-burst inside the relays' batched
-    ``_relay_app_burst`` path instead of on a lone record.  Table 1
-    attribution (outcome, MAC slot, detecting party) must not depend on
-    which path carried the record; ``tests/test_fault_matrix.py``
-    asserts both axes produce identical attribution.
+    mutation lands mid-burst inside a multi-record relay and endpoint
+    burst instead of on a lone record.  Table 1 attribution (outcome,
+    MAC slot, detecting party) must not depend on how the records were
+    grouped; ``tests/test_fault_matrix.py`` asserts both axes produce
+    identical attribution.
     """
     if spec.attacker == "warrant":
         return _run_warrant_cell(spec, seed, suite=suite)

@@ -47,6 +47,7 @@ from repro.mctls.contexts import (
     Permission,
     SessionTopology,
 )
+from repro.recbuf import RecordBuffer
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 from repro.tls.ciphersuites import CipherError, CipherSuite
@@ -108,8 +109,8 @@ class McTLSMiddlebox:
         # scatter-gather transports.
         self._to_client: List[bytes] = []
         self._to_server: List[bytes] = []
-        self._from_client = bytearray()
-        self._from_server = bytearray()
+        self._from_client = RecordBuffer()
+        self._from_server = RecordBuffer()
         self._hs_client = tls_msgs.HandshakeBuffer()
         self._hs_server = tls_msgs.HandshakeBuffer()
         self._events: List[Event] = []
@@ -151,16 +152,6 @@ class McTLSMiddlebox:
         self._field_schemas: tuple = ()
         self._proc_c2s: Optional[mrec.MiddleboxRecordProcessor] = None
         self._proc_s2c: Optional[mrec.MiddleboxRecordProcessor] = None
-        # The burst fast path re-MACs a whole wakeup's worth of records
-        # through open_burst(); it is only safe when per-record semantics
-        # live in *this* class.  A subclass that overrides
-        # _handle_protected_record (e.g. the fault harness's malicious
-        # reader) gets the sequential path so its override still sees
-        # every record.
-        self._burst_capable = (
-            type(self)._handle_protected_record
-            is McTLSMiddlebox._handle_protected_record
-        )
 
     # -- relay interface -----------------------------------------------------
 
@@ -196,30 +187,26 @@ class McTLSMiddlebox:
         if self.closed:
             return []
         buf = self._from_client if side is _Side.CLIENT else self._from_server
-        buf += data
+        buf.append(data)
         try:
-            if self._burst_capable and self._protected(side):
-                self._receive_burst(side, buf)
-            elif self._wire_framing is frm.MCTLS_DEFAULT:
-                for content_type, context_id, fragment, raw in mrec.split_records(buf):
-                    self._handle_record(side, content_type, context_id, fragment, raw)
-            else:
-                # A negotiated non-default framing switches at the CCS
-                # boundary, so a buffer can mix framings (default-framed
-                # CCS followed by a compact-framed Finished).  Drain one
-                # record at a time, re-selecting the framing between
-                # records: _handle_record flips the protection flag when
-                # it processes the CCS.
-                while True:
-                    fr = (
-                        self._wire_framing
-                        if self._protected(side)
-                        else frm.MCTLS_DEFAULT
-                    )
-                    item = mrec.split_one(buf, fr)
-                    if item is None:
-                        break
-                    self._handle_record(side, *item)
+            more = True
+            while more:
+                # Re-selected per burst: a burst ends after a control
+                # record, and handling a ChangeCipherSpec switches this
+                # side to protected records in the negotiated framing.
+                protected = self._protected(side)
+                fr = self._wire_framing if protected else frm.MCTLS_DEFAULT
+                burst, entries, error = buf.take_records(fr)
+                if protected and entries:
+                    self._relay_burst(side, burst, entries)
+                elif entries:
+                    for content_type, _, start, end in entries:
+                        raw = burst[start:end]
+                        fragment = memoryview(raw)[fr.header_len :]
+                        self._handle_cleartext(side, content_type, fragment, raw)
+                if error is not None:
+                    raise mrec.McTLSRecordError(str(error))
+                more = bool(entries) and entries[-1][0] != rec.APPLICATION_DATA
         except (mrec.McTLSRecordError, DecodeError, CipherError) as exc:
             self.closed = True
             if getattr(exc, "where", None) is None:
@@ -237,60 +224,28 @@ class McTLSMiddlebox:
         """The chunk list carrying bytes *onward* from ``side``."""
         return self._to_server if side is _Side.CLIENT else self._to_client
 
-    def _receive_burst(self, side: _Side, buf: bytearray) -> None:
-        """Process one wakeup's worth of buffered records as bursts.
+    def _processor(self, side: _Side) -> mrec.MiddleboxRecordProcessor:
+        return self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
 
-        Runs of protected APPLICATION_DATA records are verified (and
-        where needed re-MACed) through the batched processor path with
-        one fused XOR per run; interleaved control records (alerts, CCS)
-        fall back to the per-record handler at their exact position.  A
-        framing error surfaces only after every record before it has
-        been relayed, matching split_records' sequential order.
+    def _relay_burst(self, side: _Side, burst: bytes, entries) -> None:
+        """Relay a burst of protected records.
+
+        Every record, whatever its content type, is opened (MAC-checked
+        where this middlebox can read it) by ``open_wire_burst`` and
+        handed to :meth:`_relay_record`.  Contiguous records forwarded
+        verbatim coalesce into one slice of the burst (one output chunk
+        instead of one copy per record); replaced records go out between
+        the coalesced spans.  On a mid-burst failure the pending verbatim
+        span is flushed before the error propagates, exactly as a
+        per-record loop would already have forwarded it.
         """
-        fr = self._wire_framing
-        burst, entries, deferred = mrec.split_burst(buf, fr)
-        i = 0
-        n = len(entries)
-        while i < n:
-            if entries[i][0] != rec.APPLICATION_DATA:
-                content_type, context_id, start, end = entries[i]
-                raw = burst[start:end]
-                self._handle_record(
-                    side,
-                    content_type,
-                    context_id,
-                    memoryview(raw)[fr.header_len :],
-                    raw,
-                )
-                i += 1
-                continue
-            j = i + 1
-            while j < n and entries[j][0] == rec.APPLICATION_DATA:
-                j += 1
-            self._relay_app_burst(side, burst, entries[i:j])
-            i = j
-        if deferred is not None:
-            raise deferred
-
-    def _relay_app_burst(self, side: _Side, burst: bytes, entries) -> None:
-        """Relay a run of protected APPLICATION_DATA records.
-
-        Contiguous records forwarded verbatim coalesce into one slice of
-        the burst (one output chunk instead of one copy per record);
-        modified records are rebuilt in place between the coalesced
-        spans.  Event and output order per record is identical to the
-        sequential handler, including on mid-burst failure: the pending
-        verbatim span is flushed before a MAC error propagates, exactly
-        as the per-record loop would already have forwarded it.
-        """
-        processor = self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
-        direction = mk.C2S if side is _Side.CLIENT else mk.S2C
+        processor = self._processor(side)
         instruments = self.instruments
         if instruments is not None:
             instruments.inc("relay.records", len(entries))
         out = self._out_for(side)
         if processor.opaque:
-            # No readable context at all: the whole run forwards as one
+            # No readable context at all: the whole burst forwards as one
             # verbatim slice; only the global sequence numbers advance.
             processor.skip_burst(len(entries))
             out.append(burst[entries[0][2] : entries[-1][3]])
@@ -301,59 +256,68 @@ class McTLSMiddlebox:
         index = 0
         try:
             for opened in processor.open_wire_burst(burst, entries):
-                content_type, context_id, start, end = entries[index]
+                start, end = entries[index][2:]
                 index += 1
-                if opened is None:
+                replacement = (
+                    None if opened is None else self._relay_record(side, opened)
+                )
+                if replacement is None:
                     if run_start < 0:
                         run_start = start
                     run_end = end
                     continue
-                payload = opened.payload
-                if opened.permission.can_write and self.transformer is not None:
-                    new_payload = self.transformer(direction, context_id, payload)
-                    if new_payload is None:
-                        new_payload = payload
-                else:
-                    new_payload = payload
-                if self.observer is not None:
-                    self.observer(direction, context_id, new_payload)
-                modified = new_payload != payload
-                self._emit(
-                    ContextData(
-                        direction=direction,
-                        context_id=context_id,
-                        data=new_payload,
-                        permission=opened.permission,
-                        modified=modified,
-                    )
-                )
-                if modified:
-                    if instruments is not None:
-                        instruments.inc("relay.modified")
-                    if run_start >= 0:
-                        out.append(burst[run_start:run_end])
-                        run_start = -1
-                    out.append(processor.rebuild_record(opened, new_payload))
-                else:
-                    if run_start < 0:
-                        run_start = start
-                    run_end = end
+                if run_start >= 0:
+                    out.append(burst[run_start:run_end])
+                    run_start = -1
+                out.append(replacement)
         finally:
             if run_start >= 0:
                 out.append(burst[run_start:run_end])
         if instruments is not None:
             KEYSTREAM_POOL.publish_to(instruments)
 
+    def _relay_record(self, side: _Side, opened: mrec.OpenedRecord) -> Optional[bytes]:
+        """Handle one record this middlebox opened.
+
+        Returns the bytes to forward in the record's place, or ``None`` to
+        forward it verbatim.  Application data is surfaced to the
+        transformer, the observer and a :class:`ContextData` event, and
+        rebuilt when modified; control records only forward.
+        """
+        if opened.content_type != rec.APPLICATION_DATA:
+            return None
+        direction = mk.C2S if side is _Side.CLIENT else mk.S2C
+        payload = opened.payload
+        new_payload = payload
+        if opened.permission.can_write and self.transformer is not None:
+            new_payload = self.transformer(direction, opened.context_id, payload)
+            if new_payload is None:
+                new_payload = payload
+        if self.observer is not None:
+            self.observer(direction, opened.context_id, new_payload)
+        modified = new_payload != payload
+        self._emit(
+            ContextData(
+                direction=direction,
+                context_id=opened.context_id,
+                data=new_payload,
+                permission=opened.permission,
+                modified=modified,
+            )
+        )
+        if not modified:
+            return None
+        if self.instruments is not None:
+            self.instruments.inc("relay.modified")
+        return self._processor(side).rebuild_record(opened, new_payload)
+
     def _protected(self, side: _Side) -> bool:
         return self._c2s_protected if side is _Side.CLIENT else self._s2c_protected
 
-    def _handle_record(
-        self, side: _Side, content_type: int, context_id: int, fragment: bytes, raw: bytes
+    def _handle_cleartext(
+        self, side: _Side, content_type: int, fragment, raw: bytes
     ) -> None:
-        if self._protected(side):
-            self._handle_protected_record(side, content_type, context_id, fragment, raw)
-            return
-
+        """Handle one record sent before this side's ChangeCipherSpec."""
         if content_type == rec.HANDSHAKE:
             hs = self._hs_client if side is _Side.CLIENT else self._hs_server
             hs.feed(fragment)
@@ -372,45 +336,6 @@ class McTLSMiddlebox:
             raise mrec.McTLSRecordError(
                 "application data before ChangeCipherSpec at middlebox"
             )
-
-    def _handle_protected_record(
-        self, side: _Side, content_type: int, context_id: int, fragment: bytes, raw: bytes
-    ) -> None:
-        processor = self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
-        direction = mk.C2S if side is _Side.CLIENT else mk.S2C
-        if self.instruments is not None:
-            self.instruments.inc("relay.records")
-        opened = processor.open_record(content_type, context_id, fragment)
-        if opened.payload is None or content_type != rec.APPLICATION_DATA:
-            self._out_for(side).append(raw)
-            return
-
-        payload = opened.payload
-        if opened.permission.can_write and self.transformer is not None:
-            new_payload = self.transformer(direction, context_id, payload)
-            if new_payload is None:
-                new_payload = payload
-        else:
-            new_payload = payload
-        if self.observer is not None:
-            self.observer(direction, context_id, new_payload)
-
-        modified = new_payload != payload
-        self._emit(
-            ContextData(
-                direction=direction,
-                context_id=context_id,
-                data=new_payload,
-                permission=opened.permission,
-                modified=modified,
-            )
-        )
-        if modified:
-            if self.instruments is not None:
-                self.instruments.inc("relay.modified")
-            self._out_for(side).append(processor.rebuild_record(opened, new_payload))
-        else:
-            self._out_for(side).append(raw)
 
     def _emit(self, event: Event) -> None:
         self._events.append(event)

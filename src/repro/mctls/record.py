@@ -33,20 +33,20 @@ Data-plane fast path
 Per (context, direction) the layer builds its protection state **once**
 — one keyed cipher plus one precomputed HMAC context per MAC slot
 (the suite provider's cached HMAC contexts) — instead of
-re-keying per record; :func:`split_records` and the endpoint receive
-path consume their buffers by cursor with a single batched reclamation,
-and fragments yielded to middleboxes are ``memoryview``s over the
-(immutable, safely retainable) ``raw`` record bytes.  Wire bytes are
-pinned bit-for-bit by the golden-vector tests.
+re-keying per record.  Endpoints and middleboxes split their input with
+the one shared splitter, :meth:`repro.recbuf.RecordBuffer.take_records`,
+which snapshots each burst once; fragments are ``memoryview``s into that
+immutable snapshot.  Wire bytes are pinned bit-for-bit by the
+golden-vector tests.
 """
 
 from __future__ import annotations
 
 import hmac as _hmac
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
-try:  # vectorized burst framing; scalar fallback below needs nothing
+try:  # uniform-grid burst opening; the per-record path needs nothing
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy ships with the image
     _np = None
@@ -55,14 +55,14 @@ from repro import framing as frm
 from repro.crypto.fastcipher import xor_bytes
 from repro.crypto.hmaccache import hmac_sha256
 from repro.crypto.opcount import current_counter
-from repro.framing import MCTLS_COMPACT, MCTLS_DEFAULT, FramingError, RecordFraming
+from repro.framing import MCTLS_DEFAULT, RecordFraming
 from repro.mctls import keys as mk
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, FieldSchema, Permission
 from repro.recbuf import RecordBuffer
 from repro.tls.ciphersuites import (
     CipherError,
     CipherSuite,
-    stream_decrypt_batch,
+    decrypt_burst,
     stream_encrypt_batch,
 )
 from repro.tls.record import (
@@ -98,10 +98,10 @@ class McTLSRecordError(Exception):
     """Raised on malformed records or failed MAC verification.
 
     ``where`` reports which kind of party rejected the record
-    (``"endpoint"`` / ``"middlebox"``) once known; framing errors raised
-    by :func:`split_records` leave it ``None`` and the catching layer
-    fills it in.  The fault-injection harness (:mod:`repro.faults`) uses
-    this to attribute every detection to the right party.
+    (``"endpoint"`` / ``"middlebox"``) once known; framing errors leave
+    it ``None`` and the catching layer fills it in.  The fault-injection
+    harness (:mod:`repro.faults`) uses this to attribute every detection
+    to the right party.
     """
 
     where: Optional[str] = None
@@ -152,169 +152,6 @@ def mac_input(seq: int, content_type: int, context_id: int, payload: bytes) -> b
 
 def encode_header(content_type: int, context_id: int, fragment_len: int) -> bytes:
     return _WIRE_HEADER.pack(content_type, MCTLS_VERSION, context_id, fragment_len)
-
-
-def split_records(
-    buf: bytearray, framing: Optional[RecordFraming] = None
-) -> Iterator[Tuple[int, int, bytes, bytes]]:
-    """Consume complete records from ``buf``.
-
-    Yields ``(content_type, context_id, fragment, raw_record_bytes)`` and
-    deletes consumed bytes — used by middleboxes, which forward records
-    they cannot (or need not) open verbatim.  ``raw`` is an immutable
-    ``bytes`` copy (safe to retain or forward); ``fragment`` is a
-    zero-copy ``memoryview`` into it.  Consumed bytes are reclaimed from
-    ``buf`` in one batched deletion when iteration stops (exhaustion,
-    ``break``, or an error on a later record).  ``framing`` selects the
-    wire geometry (default mcTLS framing when omitted).
-    """
-    fr = framing if framing is not None else MCTLS_DEFAULT
-    header_len = fr.header_len
-    parse_header = fr.parse_header
-    pos = 0
-    try:
-        while True:
-            if len(buf) - pos < header_len:
-                return
-            try:
-                content_type, context_id, length = parse_header(buf, pos)
-            except FramingError as exc:
-                raise McTLSRecordError(str(exc)) from None
-            if length > MAX_FRAGMENT:
-                raise McTLSRecordError("record fragment too long")
-            end = pos + header_len + length
-            if len(buf) < end:
-                return
-            raw = bytes(buf[pos:end])
-            pos = end
-            yield content_type, context_id, memoryview(raw)[header_len:], raw
-    finally:
-        if pos:
-            del buf[:pos]
-
-
-def split_one(
-    buf: bytearray, framing: Optional[RecordFraming] = None
-) -> Optional[Tuple[int, int, bytes, bytes]]:
-    """Parse and consume exactly one complete record from ``buf``.
-
-    Returns ``(content_type, context_id, fragment, raw)`` like
-    :func:`split_records`, or ``None`` when the buffer holds no complete
-    record.  This is the stepwise drain middleboxes use on sessions
-    whose negotiated framing differs from the default: the framing may
-    change *between* records (at the ChangeCipherSpec boundary), so the
-    caller must be able to re-select it per record.
-    """
-    fr = framing if framing is not None else MCTLS_DEFAULT
-    if len(buf) < fr.header_len:
-        return None
-    try:
-        content_type, context_id, length = fr.parse_header(buf, 0)
-    except FramingError as exc:
-        raise McTLSRecordError(str(exc)) from None
-    if length > MAX_FRAGMENT:
-        raise McTLSRecordError("record fragment too long")
-    end = fr.header_len + length
-    if len(buf) < end:
-        return None
-    raw = bytes(buf[:end])
-    del buf[:end]
-    return content_type, context_id, memoryview(raw)[fr.header_len :], raw
-
-
-def _vector_scan(
-    buf: bytearray,
-    total: int,
-    entries: List[Tuple[int, int, int, int]],
-    fr: RecordFraming = MCTLS_DEFAULT,
-) -> int:
-    """Uniform-stride vectorized header scan for :func:`split_burst`.
-
-    Bulk-transfer bursts are overwhelmingly runs of same-size records, so
-    the first record's header predicts every later header's fixed bytes
-    (type, version, length) at a constant stride.  One strided numpy
-    comparison validates all of them at once; the first mismatching (or
-    trailing partial) record hands control back to the scalar loop, which
-    re-parses it from the returned position with full error handling.
-    Appends accepted ``(content_type, context_id, start, end)`` entries
-    and returns the resume position (0 when nothing was accepted).  The
-    fixed-byte offsets/values come from the framing's ``scan_pattern``.
-    """
-    try:
-        content_type, _, length = fr.parse_header(buf, 0)
-    except FramingError:
-        return 0
-    if length > MAX_FRAGMENT:
-        return 0
-    stride = fr.header_len + length
-    count = total // stride
-    if count < 4:
-        return 0
-    arr = _np.frombuffer(memoryview(buf)[: count * stride], _np.uint8)
-    offsets, values = fr.scan_pattern(content_type, length)
-    ok = arr[offsets[0] :: stride] == values[0]
-    for offset, value in zip(offsets[1:], values[1:]):
-        ok = ok & (arr[offset::stride] == value)
-    good = count if bool(ok.all()) else int(_np.argmin(ok))
-    if not good:
-        return 0
-    context_ids = arr[fr.context_id_offset :: stride][:good].tolist()
-    entries.extend(
-        (content_type, cid, start, start + stride)
-        for cid, start in zip(context_ids, range(0, good * stride, stride))
-    )
-    return good * stride
-
-
-def split_burst(
-    buf: bytearray, framing: Optional[RecordFraming] = None
-) -> Tuple[bytes, List[Tuple[int, int, int, int]], Optional[McTLSRecordError]]:
-    """Batched :func:`split_records`: parse every complete record at once.
-
-    Returns ``(burst, entries, deferred_error)``:
-
-    * ``burst`` — one immutable ``bytes`` snapshot of the parsed span
-      (one copy for the whole burst instead of one per record);
-    * ``entries`` — ``(content_type, context_id, start, end)`` *record*
-      offsets into ``burst`` (the fragment starts ``framing.header_len``
-      bytes after ``start``);
-    * ``deferred_error`` — a framing error hit after the last good
-      record, for the caller to raise once it has handled ``entries``
-      (matching the order :func:`split_records` fails in).
-
-    Parsed bytes are reclaimed from ``buf`` in a single deletion before
-    returning, so the offsets can never alias bytes a later feed's
-    reclamation would shift — the snapshot is self-contained.  Malformed
-    bytes are left in ``buf`` exactly as :func:`split_records` leaves
-    them.
-    """
-    fr = framing if framing is not None else MCTLS_DEFAULT
-    header_len = fr.header_len
-    parse_header = fr.parse_header
-    pos = 0
-    total = len(buf)
-    entries: List[Tuple[int, int, int, int]] = []
-    error: Optional[McTLSRecordError] = None
-    if _np is not None and total >= 4 * header_len:
-        pos = _vector_scan(buf, total, entries, fr)
-    while total - pos >= header_len:
-        try:
-            content_type, context_id, length = parse_header(buf, pos)
-        except FramingError as exc:
-            error = McTLSRecordError(str(exc))
-            break
-        if length > MAX_FRAGMENT:
-            error = McTLSRecordError("record fragment too long")
-            break
-        end = pos + header_len + length
-        if end > total:
-            break
-        entries.append((content_type, context_id, pos, end))
-        pos = end
-    burst = bytes(memoryview(buf)[:pos])
-    if pos:
-        del buf[:pos]
-    return burst, entries, error
 
 
 @dataclass(slots=True)
@@ -524,8 +361,7 @@ class McTLSRecordLayer:
     def _context_plaintext(
         self, fr: RecordFraming, seq: int, content_type: int, context_id: int, payload
     ) -> bytes:
-        """``payload || MAC trailer`` for an application-context record
-        (shared by the sequential and batched encode paths)."""
+        """``payload || MAC trailer`` for an application-context record."""
         _, ep_mac, wr_mac, rd_mac = self._context_state(context_id, write=True)
         prefix = fr.pack_mac_prefix(seq, content_type, context_id, len(payload))
         m = fr.mac_len
@@ -559,110 +395,22 @@ class McTLSRecordLayer:
             )
         return ctxs
 
-    def _next_write_seq(self) -> int:
-        seq = self._write_seq
-        self._write_seq += 1
-        return seq
-
-    def _batchable(self) -> bool:
-        """Whether the fused-XOR burst paths apply (SHA-CTR suite only).
-
-        AES-CBC keeps the sequential per-record path so its padding /
-        short-ciphertext failure ordering is preserved by construction.
-        """
-        suite = self.suite
-        return suite is not None and suite.stream
-
-    def encode_batch(self, items) -> bytes:
-        """Frame a burst of ``(content_type, payload, context_id)`` triples.
-
-        Byte-identical to ``b"".join(encode(ct, p, cid) for ...)``: the
-        global write sequence and every MAC slot advance in record order,
-        and per-record nonces are drawn in the same order the sequential
-        path would (ChangeCipherSpec / unprotected records draw none, as
-        before).  Adjacent records may belong to different contexts —
-        nonce-order fidelity across their distinct ciphers is why the
-        batch bottoms out in :func:`stream_encrypt_batch` rather than a
-        per-cipher API.
-        """
-        if not (self._write_protected and self._batchable()):
-            return b"".join(self.encode(ct, payload, cid) for ct, payload, cid in items)
-        pending = []
-        for content_type, payload, context_id in items:
-            if len(payload) <= MAX_PLAINTEXT:
-                pending.append((content_type, context_id, payload))
-            else:
-                view = memoryview(payload)
-                for offset in range(0, len(payload), MAX_PLAINTEXT):
-                    pending.append(
-                        (content_type, context_id, view[offset : offset + MAX_PLAINTEXT])
-                    )
-        fr = self._framing
-        protect_items = []  # (cipher, payload || MACs) in record order
-        metas = []  # (framing, content_type, context_id, raw_fragment_or_None)
-        for content_type, context_id, payload in pending:
-            if content_type == CHANGE_CIPHER_SPEC:
-                metas.append(
-                    (
-                        MCTLS_DEFAULT,
-                        content_type,
-                        context_id,
-                        payload if type(payload) is bytes else bytes(payload),
-                    )
-                )
-                continue
-            if context_id == ENDPOINT_CONTEXT_ID:
-                cipher, mac_ctx = self._endpoint_state(write=True)
-                seq = self._next_write_seq()
-                prefix = fr.pack_mac_prefix(
-                    seq, content_type, ENDPOINT_CONTEXT_ID, len(payload)
-                )
-                plaintext = b"".join(
-                    (payload, mac_ctx.digest(prefix, payload)[: fr.mac_len])
-                )
-            else:
-                cipher = self._context_state(context_id, write=True)[0]
-                seq = self._next_write_seq()
-                plaintext = self._context_plaintext(
-                    fr, seq, content_type, context_id, payload
-                )
-            metas.append((fr, content_type, context_id, None))
-            protect_items.append((cipher, plaintext))
-        fragments = iter(stream_encrypt_batch(protect_items))
-        parts = []
-        for meta_fr, content_type, context_id, raw in metas:
-            fragment = raw if raw is not None else next(fragments)
-            parts.append(meta_fr.pack_header(content_type, context_id, len(fragment)))
-            parts.append(fragment)
-        return b"".join(parts)
-
     # -- decoding ---------------------------------------------------------
 
     def feed(self, data: bytes) -> None:
         self._inbuf.append(data)
 
     def read_record(self) -> Optional[UnprotectedRecord]:
-        buf = self._inbuf
-        # Re-selected per record: a buffer can hold a (default-framed)
-        # ChangeCipherSpec followed by records in the negotiated framing,
-        # and the consumer activates read protection between the two.
-        fr = self._framing if self._read_protected else MCTLS_DEFAULT
-        header_len = fr.header_len
-        if len(buf) < header_len:
-            return None
-        try:
-            content_type, context_id, length = fr.parse_header(buf.data, buf.pos)
-        except FramingError as exc:
-            raise McTLSRecordError(str(exc)) from None
-        if length > MAX_FRAGMENT:
-            raise McTLSRecordError("record fragment too long")
-        if len(buf) < header_len + length:
-            return None
-        buf.consume(header_len)
-        fragment = buf.take(length)
-        return self._unprotect(content_type, context_id, fragment)
+        """The next record, or None if none is complete."""
+        records, failure, _ = self._open(1)
+        if records:
+            return records[0]
+        if failure is not None:
+            raise failure
+        return None
 
     def read_all(self) -> Iterator[UnprotectedRecord]:
+        """Yield buffered records one splitter call at a time."""
         while True:
             record = self.read_record()
             if record is None:
@@ -672,140 +420,76 @@ class McTLSRecordLayer:
     def read_burst(self) -> Iterator[UnprotectedRecord]:
         """Yield every complete buffered record, batching decryption.
 
-        Sequentially equivalent to :meth:`read_all`: records come out in
-        order, and any failure raises at the same record position after
-        the records before it were yielded.  Bursts are planned up to
-        (never across) a ChangeCipherSpec record, because the consumer
-        re-activates read protection — and resets the read sequence —
-        between yields; the eligibility check re-runs each round so the
-        records after the boundary batch under the new state.
+        Records come out in order, and any failure raises at its record's
+        position after the records before it were yielded — exactly what
+        :meth:`read_all` produces.  Each splitter burst ends after a
+        control record, so a ChangeCipherSpec the consumer handles
+        between yields (activating read protection, resetting the read
+        sequence, switching to the negotiated framing) applies to every
+        record behind it.
         """
-        while True:
-            if self._read_protected and self._batchable():
-                plan = self._plan_burst()
-                if plan is not None:
-                    yield from self._read_planned_burst(plan)
-                    continue
-            record = self.read_record()
-            if record is None:
-                return
-            yield record
+        more = True
+        while more:
+            records, failure, more = self._open(None)
+            yield from records
+            if failure is not None:
+                raise failure
 
-    def _plan_burst(self):
-        """Parse all complete buffered records; consume them atomically.
+    def _open(self, limit: Optional[int]):
+        """Open one splitter burst of at most ``limit`` records.
 
-        Returns ``(burst, entries, deferred_error)`` — one snapshot of
-        the parsed span, ``(content_type, context_id, start, end)``
-        fragment offsets into it, and a framing error to re-raise after
-        the preceding records are yielded — or ``None`` when fewer than
-        two records are buffered.  Snapshot-and-consume in one step means
-        later :meth:`feed` calls can compact the receive buffer without
-        invalidating the parsed offsets.
+        Returns ``(records, failure, more)``: the records before the
+        first failure, that failure (for the caller to raise after
+        handing on the records) and whether more records may follow —
+        true when the burst ended at a control record.
         """
-        buf = self._inbuf
-        # Burst planning only runs with read protection active, so the
-        # negotiated framing applies for the whole plan.
-        fr = self._framing
+        protected = self._read_protected
+        fr = self._framing if protected else MCTLS_DEFAULT
+        burst, entries, error = self._inbuf.take_records(fr, limit)
         header_len = fr.header_len
-        data, start = buf.data, buf.pos
-        total = len(data)
-        pos = start
-        entries = []
-        error = None
-        while total - pos >= header_len:
-            try:
-                content_type, context_id, length = fr.parse_header(data, pos)
-            except FramingError as exc:
-                error = McTLSRecordError(str(exc))
-                break
-            if length > MAX_FRAGMENT:
-                error = McTLSRecordError("record fragment too long")
-                break
-            if content_type != APPLICATION_DATA:
-                # Control records (handshake, alert, CCS) may change
-                # session state when the consumer handles them between
-                # yields — install context keys, re-key at a protection
-                # boundary — so batching across one would decrypt later
-                # records against pre-transition state.  They end the
-                # plan and take the sequential path.
-                break
-            end = pos + header_len + length
-            if end > total:
-                break
-            entries.append(
-                (content_type, context_id, pos + header_len - start, end - start)
-            )
-            pos = end
-        if len(entries) < 2:
-            return None
-        burst = buf.snapshot(pos - start)
-        return burst, entries, error
-
-    def _read_planned_burst(self, plan) -> Iterator[UnprotectedRecord]:
-        burst, entries, error = plan
-        view = memoryview(burst)
-        # Pass A: look up per-record cipher state and batch-decrypt the
-        # prefix that can decrypt.  Failures that the sequential path
-        # would hit before decrypting (unknown context keys, fragment
-        # shorter than a nonce) truncate the batch and re-raise at that
-        # record's position in pass B.
+        # A record whose context has no keys cuts the burst and fails at
+        # its position.
         items = []
-        deferred = None
-        n = len(entries)
-        for i, (content_type, context_id, frag_start, frag_end) in enumerate(entries):
-            try:
-                if context_id == ENDPOINT_CONTEXT_ID:
-                    cipher = self._endpoint_state(write=False)[0]
-                else:
-                    cipher = self._context_state(context_id, write=False)[0]
-            except McTLSRecordError as exc:
-                deferred = exc
-                n = i
-                break
-            if frag_end - frag_start < 16:
-                exc = CipherError("ciphertext shorter than nonce")
-                deferred = McTLSRecordError(f"decryption failed: {exc}")
-                deferred.__cause__ = exc
-                n = i
-                break
-            items.append((cipher, view[frag_start:frag_end]))
-        plaintexts = stream_decrypt_batch(items)
-        # Pass B: verify MACs and consume read sequence numbers strictly
-        # in record order, through the same _finish_* helpers as the
-        # sequential path.
-        for (content_type, context_id, _, _), plaintext in zip(
-            entries[:n], plaintexts
+        failure = None
+        for content_type, context_id, start, end in entries:
+            cipher = None
+            if protected and content_type != CHANGE_CIPHER_SPEC:
+                try:
+                    cipher = self._read_cipher(context_id)
+                except McTLSRecordError as exc:
+                    failure = exc
+                    break
+            items.append((cipher, burst[start + header_len : end]))
+        plaintexts, cause = decrypt_burst(items)
+        if cause is not None:
+            failure = McTLSRecordError(f"decryption failed: {cause}")
+            failure.__cause__ = cause
+        elif failure is None and error is not None:
+            failure = McTLSRecordError(str(error))
+        records = []
+        for (content_type, context_id, _, _), (cipher, _), plaintext in zip(
+            entries, items, plaintexts
         ):
-            if context_id == ENDPOINT_CONTEXT_ID:
-                yield self._finish_endpoint(content_type, plaintext)
-            else:
-                yield self._finish_context(content_type, context_id, plaintext)
-        if deferred is not None:
-            raise deferred
-        if error is not None:
-            raise error
+            try:
+                if cipher is None:
+                    record = UnprotectedRecord(content_type, context_id, plaintext)
+                elif context_id == ENDPOINT_CONTEXT_ID:
+                    record = self._finish_endpoint(content_type, plaintext)
+                else:
+                    record = self._finish_context(content_type, context_id, plaintext)
+            except McTLSRecordError as exc:
+                return records, exc, False
+            records.append(record)
+        more = failure is None and bool(entries) and entries[-1][0] != APPLICATION_DATA
+        return records, failure, more
 
-    def _unprotect(
-        self, content_type: int, context_id: int, fragment: bytes
-    ) -> UnprotectedRecord:
-        if content_type == CHANGE_CIPHER_SPEC or not self._read_protected:
-            return UnprotectedRecord(content_type, context_id, fragment)
+    def _read_cipher(self, context_id: int):
         if context_id == ENDPOINT_CONTEXT_ID:
-            return self._unprotect_endpoint(content_type, fragment)
-        return self._unprotect_context(content_type, context_id, fragment)
-
-    def _unprotect_endpoint(self, content_type: int, fragment: bytes) -> UnprotectedRecord:
-        cipher, _ = self._endpoint_state(write=False)
-        try:
-            plaintext = cipher.decrypt(fragment)
-        except CipherError as exc:
-            raise McTLSRecordError(f"decryption failed: {exc}") from exc
-        return self._finish_endpoint(content_type, plaintext)
+            return self._endpoint_state(write=False)[0]
+        return self._context_state(context_id, write=False)[0]
 
     def _finish_endpoint(self, content_type: int, plaintext: bytes) -> UnprotectedRecord:
-        """Verify a decrypted endpoint-context record (shared by both
-        the sequential and batched read paths, so MAC coverage and error
-        attribution can never drift between them)."""
+        """Verify a decrypted endpoint-context record."""
         fr = self._framing
         m = fr.mac_len
         _, mac_ctx = self._endpoint_state(write=False)
@@ -826,21 +510,10 @@ class McTLSRecordLayer:
             )
         return UnprotectedRecord(content_type, ENDPOINT_CONTEXT_ID, payload)
 
-    def _unprotect_context(
-        self, content_type: int, context_id: int, fragment: bytes
-    ) -> UnprotectedRecord:
-        cipher, _, _, _ = self._context_state(context_id, write=False)
-        try:
-            plaintext = cipher.decrypt(fragment)
-        except CipherError as exc:
-            raise McTLSRecordError(f"decryption failed: {exc}") from exc
-        return self._finish_context(content_type, context_id, plaintext)
-
     def _finish_context(
         self, content_type: int, context_id: int, plaintext: bytes
     ) -> UnprotectedRecord:
-        """Verify a decrypted application-context record (shared by both
-        the sequential and batched read paths)."""
+        """Verify a decrypted application-context record."""
         fr = self._framing
         m = fr.mac_len
         _, ep_mac, wr_mac, _rd_mac = self._context_state(context_id, write=False)
@@ -1069,60 +742,37 @@ class MiddleboxRecordProcessor:
         fragment)``.  Yields, in order, an :class:`OpenedRecord` per
         readable record and ``None`` per pass-through record (no
         allocation for contexts the middlebox cannot open — the caller
-        already holds the raw bytes to forward).  MAC verification and
-        any failure happen at yield time record by record, so a bad
-        record raises only after the records before it were yielded and
-        forwarded — the exact order a sequential ``open_record`` loop
-        produces.  Non-SHA-CTR suites decrypt per record at yield time
-        instead (same semantics, no fused XOR).
+        already holds the raw bytes to forward).  A decryption or MAC
+        failure raises at its record's position, only after the records
+        before it were yielded and forwarded — the order a per-record
+        ``open_record`` loop produces.
         """
         if not self.active:
             raise McTLSRecordError("record processor not yet activated")
-        fast = self.suite.stream
-        metas = []  # (content_type, context_id, seq, state, item_index)
-        items = []  # (cipher, fragment) for the batched decrypt
-        deferred = None
+        metas = []  # (content_type, context_id, seq, state)
+        items = []  # (cipher, fragment) of the records this box can open
         open_state = self._open_state
-        append_meta = metas.append
-        append_item = items.append
         seq = self.seq
         for content_type, context_id, fragment in records:
             state = open_state.get(context_id, _MISSING_STATE)
             if state is _MISSING_STATE:
                 state = self._build_open_state(context_id)
-            if state is None:
-                append_meta((content_type, context_id, seq, None, None))
-                seq += 1
-                continue
-            if fast and len(fragment) < 16:
-                # The sequential path fails this record inside decrypt;
-                # fail at the same position, after the prefix is yielded.
-                exc = CipherError("ciphertext shorter than nonce")
-                deferred = McTLSRecordError(f"middlebox decryption failed: {exc}")
-                deferred.__cause__ = exc
-                seq += 1
-                break
-            append_meta((content_type, context_id, seq, state, len(items)))
-            append_item((state[0], fragment))
+            metas.append((content_type, context_id, seq, state))
             seq += 1
+            if state is not None:
+                items.append((state[0], fragment))
         self.seq = seq
-        plaintexts = stream_decrypt_batch(items, views=True) if fast else None
-        for content_type, context_id, seq, state, index in metas:
+        plaintexts, cause = decrypt_burst(items, views=True)
+        plaintexts = iter(plaintexts)
+        for content_type, context_id, seq, state in metas:
             if state is None:
                 yield None
                 continue
-            if fast:
-                plaintext = plaintexts[index]
-            else:
-                try:
-                    plaintext = state[0].decrypt(items[index][1])
-                except CipherError as exc:
-                    raise McTLSRecordError(
-                        f"middlebox decryption failed: {exc}"
-                    ) from exc
+            plaintext = next(plaintexts, None)
+            if plaintext is None:
+                message = f"middlebox decryption failed: {cause}"
+                raise McTLSRecordError(message) from cause
             yield self._finish_open(content_type, context_id, seq, state, plaintext)
-        if deferred is not None:
-            raise deferred
 
     def open_wire_burst(
         self, burst: bytes, entries
@@ -1130,7 +780,8 @@ class MiddleboxRecordProcessor:
         """Open a framed burst straight from its wire buffer.
 
         ``entries`` are ``(content_type, context_id, start, end)``
-        record offsets into ``burst`` from :func:`split_burst` —
+        record offsets into ``burst`` from
+        :meth:`~repro.recbuf.RecordBuffer.take_records` —
         semantically identical to slicing out the fragments and calling
         :meth:`open_burst`.  A *uniform* burst (one record length, one
         content type, one context — the shape every bulk-transfer burst
@@ -1164,7 +815,7 @@ class MiddleboxRecordProcessor:
             # One vectorized check proves the uniform grid really is the
             # framing: every grid-aligned header must repeat record 0's
             # type, context and length (version was already validated by
-            # split_burst for each parsed record).
+            # the splitter for each parsed record).
             offsets, expected = fr.grid_pattern(ct0, cid0, length)
             if bool((arr[:, list(offsets)] == expected).all()):
                 state = self._open_state.get(cid0, _MISSING_STATE)
@@ -1419,25 +1070,12 @@ class MiddleboxRecordProcessor:
         except KeyError:
             state = self._build_open_state(context_id)
         if state is None or not state[3]:
-            # Cold path: reproduce the pre-cache failure modes exactly.
-            permission = self.permissions.get(context_id, Permission.NONE)
-            if not permission.can_write:
+            if not self.permissions.get(context_id, Permission.NONE).can_write:
                 raise McTLSRecordError(
                     f"middlebox lacks write permission on context {context_id}"
                 )
-            # Write permission without cached state means the key lookup
-            # must fail (or the context is one the cache refuses to open);
-            # build directly from the key material as the old code did.
-            keys = self.context_keys[context_id]
-            reader_keys = keys.readers.for_direction(self.direction)
-            state = (
-                self.suite.new_cipher(reader_keys.enc),
-                self.suite.mac_context(
-                    keys.writers.mac_for_direction(self.direction)
-                ),
-                self.suite.mac_context(reader_keys.mac),
-                True,
-                permission,
+            raise McTLSRecordError(
+                f"middlebox holds no write keys for context {context_id}"
             )
         return state[0], state[1], state[2]
 

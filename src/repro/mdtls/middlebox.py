@@ -16,8 +16,7 @@ Rides the mcTLS middlebox relay with the delegation-mode deltas:
   server, sealed to its certificate key; it installs them clamped to
   ``min(client warrant, server warrant, delivered material)``.
 
-``_handle_protected_record`` is deliberately *not* overridden, so the
-record-layer burst fast path stays engaged.
+The record data plane is the base relay's, unchanged.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.crypto.aes import AES
 from repro.crypto.fastcipher import ShaCtrCipher, xor_bytes, xor_concat
@@ -58,25 +58,6 @@ class BulkCipher:
     def ciphertext_length(self, plaintext_length: int) -> int:
         """Predict ciphertext size without encrypting (for size accounting)."""
         raise NotImplementedError
-
-    def encrypt_batch(self, plaintexts):
-        """Encrypt a burst; byte-identical to per-record :meth:`encrypt`.
-
-        The base implementation is the definitional loop; vectorizing
-        ciphers override it.  Either way randomness (per-record IVs or
-        nonces) is drawn in record order, so batched and sequential
-        encodes agree byte-for-byte under a deterministic RNG.
-        """
-        return [self.encrypt(p) for p in plaintexts]
-
-    def decrypt_batch(self, ciphertexts):
-        """Decrypt a burst; byte-identical to per-record :meth:`decrypt`.
-
-        Raises at the first bad fragment (in record order), like the
-        definitional loop — partial results are discarded, matching the
-        sequential failure mode where the connection dies anyway.
-        """
-        return [self.decrypt(c) for c in ciphertexts]
 
 
 class AesCbcCipher(BulkCipher):
@@ -195,12 +176,6 @@ class ShaCtrRecordCipher(StreamRecordCipher):
         """Pool-backed full-block keystream (see :meth:`ShaCtrCipher.stream_for`)."""
         return self._cipher.stream_for(nonce, size)
 
-    def encrypt_batch(self, plaintexts):
-        return stream_encrypt_batch([(self, p) for p in plaintexts])
-
-    def decrypt_batch(self, ciphertexts):
-        return stream_decrypt_batch([(self, c) for c in ciphertexts])
-
 
 class ProviderStreamCipher(StreamRecordCipher):
     """Stream record cipher over a provider keystream generator.
@@ -256,12 +231,6 @@ class ProviderStreamCipher(StreamRecordCipher):
             return None
         grid_arr = getattr(self._gen, "keystream_grid_arr", None)
         return grid_arr(nonces, count, size) if grid_arr is not None else None
-
-    def encrypt_batch(self, plaintexts):
-        return stream_encrypt_batch([(self, p) for p in plaintexts])
-
-    def decrypt_batch(self, ciphertexts):
-        return stream_decrypt_batch([(self, c) for c in ciphertexts])
 
 
 class AesCtrRecordCipher(ProviderStreamCipher):
@@ -404,10 +373,33 @@ def stream_decrypt_batch(items, views: bool = False) -> list:
     return out
 
 
-# Legacy names from the batched-data-plane PR; same helpers, now
-# provider-agnostic.
-shactr_encrypt_batch = stream_encrypt_batch
-shactr_decrypt_batch = stream_decrypt_batch
+def decrypt_burst(items, views: bool = False) -> Tuple[list, Optional[CipherError]]:
+    """Decrypt ``(cipher, fragment)`` pairs in record order.
+
+    Returns ``(plaintexts, error)``: what ``cipher.decrypt(fragment)``
+    gives for each pair before the first that fails, and that pair's
+    :class:`CipherError` (``None`` when every pair decrypts) — so a
+    caller can hand on the records before a bad one, then fail at its
+    position.  A ``None`` cipher passes its fragment through as
+    ``bytes`` (records read before protection is active).  The leading
+    run of two or more stream-cipher fragments decrypts in one fused
+    pass through :func:`stream_decrypt_batch` (``views`` as there); the
+    rest decrypt one by one.
+    """
+    fused = 0
+    for cipher, fragment in items:
+        if not isinstance(cipher, StreamRecordCipher) or len(fragment) < 16:
+            break
+        fused += 1
+    plaintexts = stream_decrypt_batch(items[:fused], views) if fused > 1 else []
+    try:
+        for cipher, fragment in items[len(plaintexts) :]:
+            plaintexts.append(
+                bytes(fragment) if cipher is None else cipher.decrypt(fragment)
+            )
+    except CipherError as exc:
+        return plaintexts, exc
+    return plaintexts, None
 
 
 @dataclass(frozen=True)

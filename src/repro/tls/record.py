@@ -7,14 +7,16 @@ and appended to the plaintext before encryption.
 
 :class:`RecordLayer` holds both directions of one connection endpoint:
 ``encode()`` frames and protects outgoing payloads, ``feed()`` +
-``read_record()`` de-frame and unprotect incoming bytes.
+``read_burst()`` (or ``read_record()``, the same reader capped at one
+record) de-frame and unprotect incoming bytes.
 
 The data plane is on the fast path of every experiment: the receive
-side parses straight out of a cursor buffer (:class:`repro.recbuf.RecordBuffer`)
-with one fragment copy per record, the MAC key schedule is precomputed
-per direction (the suite provider's cached HMAC context), and
-headers/MAC prefixes are packed with :class:`struct.Struct`.  Wire bytes
-are pinned by the golden-vector tests.
+side splits records with the shared splitter of
+:class:`repro.recbuf.RecordBuffer` (one snapshot copy per burst), the
+MAC key schedule is precomputed per direction (the suite provider's
+cached HMAC context), and headers/MAC prefixes are packed with
+:class:`struct.Struct`.  Wire bytes are pinned by the golden-vector
+tests.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from repro.framing import (
 from repro.recbuf import RecordBuffer
 from repro.tls.ciphersuites import (
     BulkCipher,
-    CipherError,
     CipherSuite,
-    StreamRecordCipher,
+    decrypt_burst,
 )
 
 # The wire geometry is the default TLS instance of the pluggable framing
@@ -130,51 +131,6 @@ class RecordLayer:
             raise RecordError("record fragment too long")
         return _WIRE_HEADER.pack(content_type, TLS_VERSION, len(fragment)) + fragment
 
-    def encode_batch(self, items) -> bytes:
-        """Frame a burst of ``(content_type, payload)`` pairs.
-
-        Byte-identical to ``b"".join(encode(ct, p) for ct, p in items)``:
-        sequence numbers and record MACs advance in record order, and the
-        bulk cipher's :meth:`~BulkCipher.encrypt_batch` draws per-record
-        nonces in the same order the sequential path would.  The win is
-        one fused XOR pass over the whole burst (SHA-CTR suite) and one
-        output join instead of per-record bytearray growth.
-        """
-        state = self.write_state
-        pending = []
-        for content_type, payload in items:
-            if content_type not in CONTENT_TYPES:
-                raise RecordError(f"invalid content type {content_type}")
-            if len(payload) <= MAX_PLAINTEXT:
-                pending.append((content_type, payload))
-            else:
-                view = memoryview(payload)
-                for offset in range(0, len(payload), MAX_PLAINTEXT):
-                    pending.append(
-                        (content_type, view[offset : offset + MAX_PLAINTEXT])
-                    )
-        parts = []
-        if state.cipher is None:
-            for content_type, plaintext in pending:
-                parts.append(
-                    _WIRE_HEADER.pack(content_type, TLS_VERSION, len(plaintext))
-                )
-                parts.append(plaintext)
-            return b"".join(parts)
-        plaintext_and_macs = []
-        for content_type, plaintext in pending:
-            seq = state.seq
-            state.seq = seq + 1
-            mac = state.record_mac(seq, content_type, plaintext)
-            plaintext_and_macs.append(b"".join((plaintext, mac)))
-        fragments = state.cipher.encrypt_batch(plaintext_and_macs)
-        for (content_type, _), fragment in zip(pending, fragments):
-            if len(fragment) > MAX_FRAGMENT:
-                raise RecordError("record fragment too long")
-            parts.append(_WIRE_HEADER.pack(content_type, TLS_VERSION, len(fragment)))
-            parts.append(fragment)
-        return b"".join(parts)
-
     # -- incoming ------------------------------------------------------
 
     def feed(self, data: bytes) -> None:
@@ -182,23 +138,15 @@ class RecordLayer:
 
     def read_record(self) -> Optional[Tuple[int, bytes]]:
         """Return the next (content_type, plaintext) or None if incomplete."""
-        buf = self._inbuf
-        if len(buf) < RECORD_HEADER_LEN:
-            return None
-        content_type, version, length = _WIRE_HEADER.unpack_from(buf.data, buf.pos)
-        if content_type not in CONTENT_TYPES:
-            raise RecordError(f"invalid content type {content_type}")
-        if version != TLS_VERSION:
-            raise RecordError(f"unsupported record version 0x{version:04x}")
-        if length > MAX_FRAGMENT:
-            raise RecordError("record fragment too long")
-        if len(buf) < RECORD_HEADER_LEN + length:
-            return None
-        buf.consume(RECORD_HEADER_LEN)
-        fragment = buf.take(length)
-        return content_type, self._unprotect(content_type, fragment)
+        records, failure, _ = self._open(1)
+        if records:
+            return records[0]
+        if failure is not None:
+            raise failure
+        return None
 
     def read_all(self) -> Iterator[Tuple[int, bytes]]:
+        """Yield buffered records one splitter call at a time."""
         while True:
             record = self.read_record()
             if record is None:
@@ -208,112 +156,54 @@ class RecordLayer:
     def read_burst(self) -> Iterator[Tuple[int, bytes]]:
         """Yield every complete buffered record, batching decryption.
 
-        Sequentially equivalent to :meth:`read_all`: records come out in
-        order, and any error raises at the same record position *after*
-        the records before it were yielded.  When the read direction runs
-        a stream suite, the whole burst is decrypted in one fused XOR
-        pass; other states (unprotected, AES-CBC) take the sequential
-        path record by record, and the eligibility check re-runs between
-        records so protection activated mid-burst (the consumer handles a
-        ChangeCipherSpec between yields) upgrades the rest of the burst.
+        Records come out in order, and any error raises at its record's
+        position after the records before it were yielded — exactly what
+        :meth:`read_all` produces.  Each splitter burst ends after a
+        control record, so protection the consumer activates while
+        handling a ChangeCipherSpec applies to the records behind it.
         """
-        while True:
-            if isinstance(self.read_state.cipher, StreamRecordCipher):
-                plan = self._plan_burst()
-                if plan is not None:
-                    yield from self._read_planned_burst(plan)
-                    continue
-            record = self.read_record()
-            if record is None:
-                return
-            yield record
+        more = True
+        while more:
+            records, failure, more = self._open(None)
+            yield from records
+            if failure is not None:
+                raise failure
 
-    def _plan_burst(self):
-        """Parse all complete buffered records; consume them atomically.
+    def _open(self, limit: Optional[int]):
+        """Open one splitter burst of at most ``limit`` records.
 
-        Returns ``(burst, entries, deferred_error)`` — one immutable
-        snapshot of the parsed span, ``(content_type, start, end)``
-        fragment offsets into it, and a framing error to re-raise after
-        the caller has yielded the records preceding it — or ``None``
-        when fewer than two records are buffered (the sequential path
-        handles those without batch overhead).  Snapshot-and-consume in
-        one step means later :meth:`feed` calls can compact the receive
-        buffer without invalidating the parsed offsets.
+        Returns ``(records, failure, more)``: the records before the
+        first failure, that failure (for the caller to raise after
+        handing on the records) and whether more records may follow —
+        true when the burst ended at a control record.
         """
-        buf = self._inbuf
-        data, start = buf.data, buf.pos
-        total = len(data)
-        pos = start
-        entries = []
-        error = None
-        while total - pos >= RECORD_HEADER_LEN:
-            content_type, version, length = _WIRE_HEADER.unpack_from(data, pos)
-            if content_type not in CONTENT_TYPES:
-                error = RecordError(f"invalid content type {content_type}")
-                break
-            if content_type != APPLICATION_DATA:
-                # Control records (handshake, alert, CCS) may change
-                # connection state when the consumer handles them between
-                # yields; batching across one would decrypt later records
-                # against pre-transition state.  They end the plan and
-                # take the sequential path.
-                break
-            if version != TLS_VERSION:
-                error = RecordError(f"unsupported record version 0x{version:04x}")
-                break
-            if length > MAX_FRAGMENT:
-                error = RecordError("record fragment too long")
-                break
-            end = pos + RECORD_HEADER_LEN + length
-            if end > total:
-                break
-            entries.append((content_type, pos + RECORD_HEADER_LEN - start, end - start))
-            pos = end
-        if len(entries) < 2:
-            return None
-        burst = buf.snapshot(pos - start)
-        return burst, entries, error
-
-    def _read_planned_burst(self, plan) -> Iterator[Tuple[int, bytes]]:
-        burst, entries, error = plan
-        view = memoryview(burst)
-        state = self.read_state
-        # A too-short fragment fails decryption at its record position;
-        # batch-decrypt the good prefix and re-raise there, mirroring the
-        # sequential loop's failure order.
-        short_error: Optional[CipherError] = None
-        n = len(entries)
-        for i, (_, frag_start, frag_end) in enumerate(entries):
-            if frag_end - frag_start < 16:
-                short_error = CipherError("ciphertext shorter than nonce")
-                n = i
-                break
-        plaintext_and_macs = state.cipher.decrypt_batch(
-            [view[frag_start:frag_end] for _, frag_start, frag_end in entries[:n]]
+        burst, entries, error = self._inbuf.take_records(TLS_DEFAULT, limit)
+        cipher = self.read_state.cipher
+        plaintexts, cause = decrypt_burst(
+            [
+                (cipher, burst[start + RECORD_HEADER_LEN : end])
+                for _, _, start, end in entries
+            ]
         )
-        for (content_type, _, _), plaintext_and_mac in zip(entries, plaintext_and_macs):
-            yield content_type, self._finish_unprotect(content_type, plaintext_and_mac)
-        if short_error is not None:
-            raise RecordError(f"record decryption failed: {short_error}") from short_error
-        if error is not None:
-            raise error
+        failure = None
+        if cause is not None:
+            failure = RecordError(f"record decryption failed: {cause}")
+            failure.__cause__ = cause
+        elif error is not None:
+            failure = RecordError(str(error))
+        records = []
+        for (content_type, _, _, _), plaintext in zip(entries, plaintexts):
+            if cipher is not None:
+                try:
+                    plaintext = self._finish_record(content_type, plaintext)
+                except RecordError as exc:
+                    return records, exc, False
+            records.append((content_type, plaintext))
+        more = failure is None and bool(entries) and entries[-1][0] != APPLICATION_DATA
+        return records, failure, more
 
-    def _unprotect(self, content_type: int, fragment: bytes) -> bytes:
-        state = self.read_state
-        if state.cipher is None:
-            return fragment
-        try:
-            plaintext_and_mac = state.cipher.decrypt(fragment)
-        except CipherError as exc:
-            raise RecordError(f"record decryption failed: {exc}") from exc
-        return self._finish_unprotect(content_type, plaintext_and_mac)
-
-    def _finish_unprotect(self, content_type: int, plaintext_and_mac: bytes) -> bytes:
-        """Split MAC from plaintext, consume a sequence number, verify.
-
-        Shared by the sequential and batched read paths so the two can
-        never drift in MAC coverage or error attribution.
-        """
+    def _finish_record(self, content_type: int, plaintext_and_mac: bytes) -> bytes:
+        """Split MAC from plaintext, consume a sequence number, verify."""
         state = self.read_state
         mac_len = state.suite.mac_length
         if len(plaintext_and_mac) < mac_len:

@@ -16,7 +16,7 @@ from typing import List
 
 from repro import framing as frm
 from repro.mctls import messages as mm
-from repro.mctls import record as mrec
+from repro.recbuf import RecordBuffer
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 from repro.wire import DecodeError
@@ -186,26 +186,28 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
     Incomplete trailing bytes are reported as such.
     """
     lines: List[str] = []
-    buf = bytearray(data)
+    buf = RecordBuffer()
     try:
         if mctls:
+            buf.append(data)
             # Per-record framing auto-detect: the compact marker byte
             # range (0xD0-0xD3) is disjoint from the default content
             # types, so a mixed default/compact capture splits cleanly.
             records = []
             while buf:
-                fr = frm.detect_mctls_framing(buf[0])
-                item = mrec.split_one(buf, fr)
-                if item is None:
+                fr = frm.detect_mctls_framing(buf.data[buf.pos])
+                raw, entries, error = buf.take_records(fr, limit=1)
+                if error is not None:
+                    raise error
+                if not entries:
                     break
-                ct, ctx, frag, _ = item
-                records.append((ct, ctx, frag, fr))
+                ct, ctx, _, _ = entries[0]
+                records.append((ct, ctx, raw[fr.header_len :], fr))
         else:
             layer = rec.RecordLayer()
-            layer.feed(bytes(buf))
-            buf.clear()
+            layer.feed(data)
             records = [(ct, None, frag, None) for ct, frag in layer.read_all()]
-    except (mrec.McTLSRecordError, rec.RecordError) as exc:
+    except (frm.FramingError, rec.RecordError) as exc:
         lines.append(f"!! malformed record stream: {exc}")
         return lines
 

@@ -31,7 +31,7 @@ from repro.mctls.contexts import (
     FieldSchema,
     Permission,
 )
-from repro.mctls.record import MiddleboxRecordProcessor, split_records
+from repro.mctls.record import MiddleboxRecordProcessor
 from repro.tls.record import APPLICATION_DATA, HANDSHAKE
 
 from tests.golden.gen_record_vectors import (
@@ -42,6 +42,7 @@ from tests.golden.gen_record_vectors import (
     _mctls_layer,
     _patched_nonces,
 )
+from tests.mctls_helpers import split_wire
 
 COMPACT_VECTORS_PATH = Path(__file__).resolve().parent / "compact_vectors.json"
 
@@ -115,9 +116,7 @@ def _rebuild_vectors(suite):
         b"hdrHDRhd" + original[8:],         # granted: hdr-only rewrite
     ]:
         wire = client.encode(APPLICATION_DATA, original, 1)
-        content_type, ctx_id, fragment, _raw = next(
-            split_records(bytearray(wire), MCTLS_COMPACT)
-        )
+        [(content_type, ctx_id, fragment, _)] = split_wire(wire, MCTLS_COMPACT)
         opened = proc.open_record(content_type, ctx_id, fragment)
         rebuilt = proc.rebuild_record(opened, replacement)
         cases.append(

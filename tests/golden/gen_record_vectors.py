@@ -23,8 +23,9 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.crypto.fastcipher import ShaCtrCipher
 from repro.mctls import keys as mk
@@ -33,7 +34,6 @@ from repro.mctls.record import (
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
     _hmac_sha256,
-    split_records,
 )
 from repro.tls import ciphersuites
 from repro.tls.ciphersuites import (
@@ -41,6 +41,8 @@ from repro.tls.ciphersuites import (
     SUITE_DHE_RSA_SHACTR_SHA256,
 )
 from repro.tls.record import APPLICATION_DATA, HANDSHAKE, RecordLayer
+
+from tests.mctls_helpers import split_wire
 
 VECTORS_PATH = Path(__file__).resolve().parent / "record_vectors.json"
 
@@ -145,7 +147,7 @@ def _middlebox_rebuild_vectors(suite):
         (bytes(range(200)), b""),
     ]:
         wire = client.encode(APPLICATION_DATA, original, 1)
-        content_type, ctx_id, fragment, _raw = next(split_records(bytearray(wire)))
+        [(content_type, ctx_id, fragment, _)] = split_wire(wire)
         opened = proc.open_record(content_type, ctx_id, fragment)
         rebuilt = proc.rebuild_record(opened, replacement)
         cases.append(

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.dh import GROUP_TEST_512
+from repro.framing import MCTLS_DEFAULT
 from repro.mctls import (
     ContextDefinition,
     McTLSClient,
@@ -14,8 +15,40 @@ from repro.mctls import (
     SessionTopology,
 )
 from repro.mctls.session import HandshakeMode
+from repro.recbuf import RecordBuffer
 from repro.tls.connection import TLSConfig
 from repro.transport import Chain
+
+
+def split_burst(wire: bytes, framing=MCTLS_DEFAULT) -> Tuple[bytes, List[tuple]]:
+    """``(burst, entries)`` for the complete records in ``wire``, split
+    with the record layers' own splitter: ``burst`` is the consumed
+    prefix of ``wire`` and each entry is ``(content_type, context_id,
+    start, end)`` with offsets into it.  Raises the splitter's
+    :class:`~repro.framing.FramingError` on malformed bytes."""
+    buf = RecordBuffer()
+    buf.append(wire)
+    entries = []
+    base = 0
+    while True:
+        burst, batch, error = buf.take_records(framing)
+        entries += [(ct, cid, base + s, base + e) for ct, cid, s, e in batch]
+        base += len(burst)
+        if error is not None:
+            raise error
+        if not batch:
+            return bytes(wire[:base]), entries
+
+
+def split_wire(wire: bytes, framing=MCTLS_DEFAULT) -> List[tuple]:
+    """Every complete record in ``wire`` as ``(content_type, context_id,
+    fragment, raw)`` — :func:`split_burst`, sliced per record."""
+    burst, entries = split_burst(wire, framing)
+    header_len = framing.header_len
+    return [
+        (ct, cid, burst[start + header_len : end], burst[start:end])
+        for ct, cid, start, end in entries
+    ]
 
 
 def build_session(

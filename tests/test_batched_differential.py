@@ -1,20 +1,25 @@
-"""Seeded differential suite: batched paths == sequential paths, bit for bit.
+"""Seeded differential suite: one record path, whatever the input shape.
 
-The batched record data plane (``encode_batch`` / ``read_burst`` /
-``open_burst`` / ``rebuild_burst`` and the scatter-gather ``*_views``
-drains) is an optimisation, not a protocol change.  This suite proves it
-three ways:
+Every role has one data path — the endpoint readers (``read_burst``, and
+``read_record`` / ``read_all``, the same reader capped at one record),
+the middlebox relay drain and the per-record writers — all splitting
+input with :meth:`repro.recbuf.RecordBuffer.take_records`.  How the
+bytes arrive must not matter, so this suite feeds the same seeded
+stream in several **feed shapes** — whole, one record per ``feed`` and
+cut at, around and between record boundaries — and requires identical
+records or events, identical output bytes and, when a record mid-stream
+is tampered, the same failing record, MAC slot and detecting party:
 
-* **wire differentials** — seeded random bursts encoded/decoded through
-  the batched and the sequential paths on twin layers with identical
-  keys and a deterministic nonce schedule must produce identical bytes,
-  identical decoded records, and identical failure positions when a
-  record mid-burst is tampered;
-* **batched golden vectors** — ``tests/golden/batched_vectors.json``
-  pins the batched writers' bytes, and (because nonces draw in record
-  order on both paths) those frozen bursts must equal the concatenation
-  of the per-record wires frozen *before* this PR in
-  ``record_vectors.json``;
+* **endpoint layers** — TLS, and mcTLS under the default and the
+  compact framing, including a ChangeCipherSpec followed by records in
+  the negotiated framing;
+* **the middlebox relay** — :class:`~repro.mctls.middlebox.McTLSMiddlebox`
+  for NONE / READ / WRITE permissions under both mcTLS framings, again
+  across the ChangeCipherSpec boundary;
+* **golden vectors** — ``tests/golden/batched_vectors.json`` pins
+  multi-record wires built from joined per-record ``encode`` /
+  ``rebuild_record`` calls, which must equal the concatenation of the
+  per-record wires frozen in ``record_vectors.json``;
 * **full-stack event streams** — on every protocol stack, a burst
   pumped through a live client → relay → server chain in one flight
   must deliver the same application byte stream as the same payloads
@@ -23,40 +28,50 @@ three ways:
 
 Plus the satellite checks: the bounded keystream pool's hit/miss/evict
 accounting (and its ``Instruments`` publication), and the
-``RecordBuffer.snapshot`` reclamation-hazard regression.
+``RecordBuffer.take`` reclamation-hazard regression.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
 import pytest
 
+from repro.core.events import ContextData
 from repro.core.instrument import Instruments
 from repro.crypto.dh import GROUP_TEST_512
 from repro.crypto.fastcipher import KEYSTREAM_POOL, KeystreamPool, ShaCtrCipher
 from repro.experiments.harness import Mode, TestBed
+from repro.framing import MCTLS_COMPACT, MCTLS_DEFAULT
 from repro.mctls import keys as mk
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, Permission
 from repro.mctls.record import (
-    MCTLS_HEADER_LEN,
-    MacVerificationError,
     McTLSRecordError,
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
-    split_burst,
-    split_records,
+    UnprotectedRecord,
 )
 from repro.recbuf import RecordBuffer
-from repro.tls.record import APPLICATION_DATA, HANDSHAKE, RecordLayer
+from repro.tls.connection import TLSError
+from repro.tls.record import (
+    APPLICATION_DATA,
+    CHANGE_CIPHER_SPEC,
+    HANDSHAKE,
+    MAX_PLAINTEXT,
+    RecordError,
+    RecordLayer,
+)
 from repro.transport import Chain
 
 from tests.golden.gen_batched_vectors import (
     BATCHED_VECTORS_PATH,
     REBUILD_CASES,
+    _write_processor,
     build_batched_vectors,
 )
+from tests.golden.gen_compact_vectors import SCHEMA as COMPACT_SCHEMA
 from tests.golden.gen_record_vectors import (
     PAYLOADS,
     RC,
@@ -67,6 +82,7 @@ from tests.golden.gen_record_vectors import (
     _mctls_layer,
     _patched_nonces,
 )
+from tests.mctls_helpers import split_burst
 
 SEED = 0xD1FF
 FROZEN = json.loads(VECTORS_PATH.read_text())
@@ -75,8 +91,8 @@ FROZEN_BATCHED = json.loads(BATCHED_VECTORS_PATH.read_text())
 SUITE_NAMES = sorted(SUITES)
 
 # The live (non-golden) differentials also run under the OpenSSL
-# provider suites when available — byte-identity of batched vs
-# sequential must hold for every provider, not just the pure one.
+# provider suites when available — feed-shape independence must hold
+# for every provider, not just the pure one.
 from repro.crypto.provider import OPENSSL  # noqa: E402
 
 ALL_SUITES = dict(SUITES)
@@ -85,6 +101,12 @@ if OPENSSL.available:
 
     ALL_SUITES.update(PROVIDER_SUITES)
 ALL_SUITE_NAMES = sorted(ALL_SUITES)
+
+PERMISSIONS = pytest.mark.parametrize(
+    "permission",
+    [Permission.NONE, Permission.READ, Permission.WRITE],
+    ids=lambda p: p.name.lower(),
+)
 
 
 def _rng(name: str) -> random.Random:
@@ -116,23 +138,30 @@ def _tls_reader(suite) -> RecordLayer:
     return layer
 
 
-def _mctls_two_context_layer(suite, is_client: bool) -> McTLSRecordLayer:
+def _two_context_layer(
+    suite, is_client: bool, framing=MCTLS_DEFAULT, active: bool = True
+) -> McTLSRecordLayer:
     """Like the golden generator's layer, plus a second app context so
-    bursts can interleave records from different contexts."""
+    streams can interleave records from different contexts; under the
+    compact framing it also carries the golden field schema."""
     layer = McTLSRecordLayer(is_client=is_client)
     layer.set_suite(suite)
     layer.set_endpoint_keys(mk.derive_endpoint_keys(SECRET, RC, RS))
     layer.install_context_keys(1, mk.ckd_context_keys(SECRET, RC, RS, 1))
     layer.install_context_keys(2, mk.ckd_context_keys(SECRET, RC, RS, 2))
-    layer.activate_write()
-    layer.activate_read()
+    if framing is MCTLS_COMPACT:
+        field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
+        layer.set_framing(MCTLS_COMPACT, (COMPACT_SCHEMA,), {1: field_keys})
+    if active:
+        layer.activate_write()
+        layer.activate_read()
     return layer
 
 
 def _mixed_mctls_items(rng: random.Random):
     """(content_type, payload, context_id) triples interleaving two app
-    contexts with a control record mid-burst (which legally breaks any
-    batch plan — state may change while the consumer handles it)."""
+    contexts with a control record mid-stream (which ends a splitter
+    burst — state may change while the consumer handles it)."""
     items = [
         (APPLICATION_DATA, payload, rng.choice((1, 2)))
         for payload in _random_payloads(rng)
@@ -141,18 +170,39 @@ def _mixed_mctls_items(rng: random.Random):
     return items
 
 
+def _mctls_wires(suite, items, framing=MCTLS_DEFAULT):
+    """Per-record wires of a client's ChangeCipherSpec, its protected
+    Finished-like record and then ``items`` — the writer switches to
+    protection (and the negotiated framing) after the CCS, as a session
+    does."""
+    with _patched_nonces():
+        writer = _two_context_layer(suite, True, framing, active=False)
+        wires = [writer.encode(CHANGE_CIPHER_SPEC, b"\x01")]
+        writer.activate_write()
+        wires.append(writer.encode(HANDSHAKE, b"finished-ish", ENDPOINT_CONTEXT_ID))
+        wires += [writer.encode(ct, payload, cid) for ct, payload, cid in items]
+    return wires
+
+
+def _app_wires(suite, payloads, framing=MCTLS_DEFAULT):
+    """Protected context-1 APPLICATION_DATA wires from an active writer."""
+    with _patched_nonces():
+        writer = _two_context_layer(suite, True, framing)
+        return [writer.encode(APPLICATION_DATA, payload, 1) for payload in payloads]
+
+
 # -- batched golden vectors ---------------------------------------------------
 
 
 def test_batched_generator_reproduces_frozen_vectors():
-    """The batched writers must reproduce the frozen JSON exactly."""
+    """Joined per-record writes must reproduce the frozen JSON exactly."""
     assert build_batched_vectors() == FROZEN_BATCHED
 
 
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 def test_frozen_batched_bursts_equal_joined_sequential_wires(suite_name):
-    """Cross-file identity: one ``encode_batch`` burst == the
-    concatenation of the per-record wires frozen before this PR."""
+    """Cross-file identity: each frozen burst == the concatenation of
+    the per-record wires frozen in ``record_vectors.json``."""
     batched = FROZEN_BATCHED["suites"][suite_name]
     sequential = FROZEN["suites"][suite_name]
     assert batched["tls_burst"] == "".join(
@@ -167,8 +217,7 @@ def test_frozen_batched_bursts_equal_joined_sequential_wires(suite_name):
 
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 def test_frozen_batched_bursts_decode(suite_name):
-    """The frozen bursts decode on fresh receive-side layers via the
-    batched readers."""
+    """The frozen bursts decode on fresh receive-side layers."""
     suite = ALL_SUITES[suite_name]
     group = FROZEN_BATCHED["suites"][suite_name]
 
@@ -187,8 +236,11 @@ def test_frozen_batched_bursts_decode(suite_name):
 
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 def test_frozen_rebuilt_burst_decodes_with_modification_verdicts(suite_name):
-    """The WRITE middlebox's ``rebuild_burst`` output verifies at the
-    endpoint, with §3.4 legal-modification verdicts per record."""
+    """The WRITE middlebox's rebuilt burst verifies at the endpoint,
+    with §3.4 legal-modification verdicts per record — and
+    ``rebuild_burst`` over the opened client burst reproduces those
+    frozen bytes, which the generator built with ``rebuild_record`` (same
+    nonce schedule: every client encode, then every rebuild)."""
     suite = ALL_SUITES[suite_name]
     group = FROZEN_BATCHED["suites"][suite_name]["middlebox_rebuild_burst"]
     server = _mctls_layer(suite, is_client=False)
@@ -199,377 +251,412 @@ def test_frozen_rebuilt_burst_decodes_with_modification_verdicts(suite_name):
         assert record.payload == replacement
         assert record.legally_modified is (original != replacement)
 
+    proc = _write_processor(suite)
+    with _patched_nonces():
+        client = _mctls_layer(suite, True)
+        client_burst = b"".join(
+            client.encode(APPLICATION_DATA, original, 1)
+            for original, _ in REBUILD_CASES
+        )
+        opened = proc.open_wire_burst(*split_burst(client_burst))
+        replacements = [replacement for _, replacement in REBUILD_CASES]
+        rebuilt = proc.rebuild_burst(list(zip(opened, replacements)))
+    assert client_burst.hex() == group["client_burst"]
+    assert b"".join(rebuilt).hex() == group["rebuilt_burst"]
 
-# -- seeded wire differentials ------------------------------------------------
+
+# -- feed shapes --------------------------------------------------------------
+
+
+def _feed_shapes(wires):
+    """The same stream as chunk lists: whole, one record per chunk, and
+    cut at, just before and just after every record boundary plus
+    mid-fragment."""
+    stream = b"".join(wires)
+    boundaries = list(itertools.accumulate(len(wire) for wire in wires))
+    cuts = sorted(
+        {0, len(stream)}
+        | set(boundaries)
+        | {max(0, b - 1) for b in boundaries}
+        | {min(len(stream), b + 1) for b in boundaries}
+        | {b - len(w) // 2 for b, w in zip(boundaries, wires) if len(w) > 1}
+    )
+    return {
+        "whole": [stream],
+        "per-record": list(wires),
+        "cuts": [stream[start:end] for start, end in zip(cuts, cuts[1:])],
+    }
+
+
+def _failure(exc):
+    """What a failure must agree on across shapes: type, MAC slot, party,
+    context and sequence number."""
+    exc = exc.__cause__ if isinstance(exc, TLSError) else exc
+    return (
+        type(exc).__name__,
+        getattr(exc, "mac", None),
+        getattr(exc, "where", None),
+        getattr(exc, "context_id", None),
+        getattr(exc, "seq", None),
+    )
+
+
+def _endpoint_outcomes(make_reader, wires, project):
+    """Feed ``wires`` to a fresh reader in every shape (``read_burst``
+    after each feed), plus the record-at-a-time ``read_all`` on the whole
+    stream.  An mcTLS ChangeCipherSpec activates read protection between
+    yields, as a session does.  Returns ``{shape: (records, failure)}``."""
+
+    def run(chunks, method):
+        reader = make_reader()
+        records = []
+        try:
+            for chunk in chunks:
+                reader.feed(chunk)
+                for record in getattr(reader, method)():
+                    records.append(project(record))
+                    if isinstance(record, UnprotectedRecord) and (
+                        record.content_type == CHANGE_CIPHER_SPEC
+                    ):
+                        reader.activate_read()
+        except (McTLSRecordError, RecordError) as exc:
+            return records, _failure(exc)
+        return records, None
+
+    outcomes = {
+        shape: run(chunks, "read_burst")
+        for shape, chunks in _feed_shapes(wires).items()
+    }
+    outcomes["read_all"] = run([b"".join(wires)], "read_all")
+    return outcomes
+
+
+def _mctls_record(record):
+    return (
+        record.content_type,
+        record.context_id,
+        record.payload,
+        record.legally_modified,
+    )
+
+
+def _assert_one_outcome(outcomes):
+    first = next(iter(outcomes.values()))
+    for shape, outcome in outcomes.items():
+        assert outcome == first, f"feed shape {shape!r} diverged"
+    return first
+
+
+def _processor(suite, permission, framing) -> MiddleboxRecordProcessor:
+    """A client-to-server processor, not yet active: context 1 installed
+    at ``permission`` (plus the field key for ``hdr`` under the compact
+    framing when it may write), context 2 unknown."""
+    proc = MiddleboxRecordProcessor(suite, mk.C2S)
+    if permission is not Permission.NONE:
+        proc.install(1, permission, mk.ckd_context_keys(SECRET, RC, RS, 1))
+    if framing is MCTLS_COMPACT:
+        proc.set_framing(MCTLS_COMPACT, (COMPACT_SCHEMA,))
+        if permission is Permission.WRITE:
+            field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
+            proc.install_field_keys(1, {0: field_keys[0]})
+    return proc
+
+
+def _relay(bed, suite, permission, framing):
+    """A middlebox whose client side is about to see the ChangeCipherSpec:
+    context 1 installed at ``permission`` (field key for ``hdr`` under the
+    compact framing), context 2 unknown.  The WRITE transformer rewrites
+    odd-length payloads only, so modified and verbatim records mix."""
+    relay = bed.make_relays(Mode.MCTLS, 1)[0]
+    relay.suite = suite
+    relay._wire_framing = framing
+    relay._proc_c2s = _processor(suite, permission, framing)
+    relay.transformer = lambda direction, cid, payload: (
+        payload.upper() if len(payload) % 2 else payload
+    )
+    return relay
+
+
+def _middlebox_outcomes(bed, suite, permission, framing, wires):
+    """Relay ``wires`` client → server in every feed shape; returns
+    ``{shape: (events, output, failure, post-stream seq)}``."""
+    outcomes = {}
+    for shape, chunks in _feed_shapes(wires).items():
+        relay = _relay(bed, suite, permission, framing)
+        events, output, failure = [], [], None
+        with _patched_nonces():  # rebuilds draw nonces in record order
+            try:
+                for chunk in chunks:
+                    events += relay.receive_from_client(chunk)
+                    output += relay.data_to_server_views()
+            except TLSError as exc:
+                output += relay.data_to_server_views()
+                failure = _failure(exc)
+        context_data = [e for e in events if isinstance(e, ContextData)]
+        outcomes[shape] = (
+            context_data,
+            b"".join(output),
+            failure,
+            relay._proc_c2s.seq,
+        )
+    return outcomes
+
+
+# -- one encode call emitting several records ----------------------------------
+#
+# The only multi-record writer is ``encode`` itself, which fragments a
+# payload larger than one record: the records it emits must equal the
+# joined per-slice encodes (same seqs, MAC slots and nonce order).
+
+
+def _slices(payload: bytes):
+    step = MAX_PLAINTEXT
+    return [payload[i : i + step] for i in range(0, len(payload), step)]
+
+
+BIG_PAYLOAD = bytes(range(256)) * 150  # three records
 
 
 @pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
 def test_tls_encode_batch_matches_sequential(suite_name):
+    """One ``encode`` over a multi-record payload (a batch of records)
+    == encoding each record-sized slice in turn."""
     suite = ALL_SUITES[suite_name]
-    items = [(APPLICATION_DATA, p) for p in _random_payloads(_rng("tls-enc"))]
     with _patched_nonces():
-        batched = _tls_writer(suite).encode_batch(items)
+        batch = _tls_writer(suite).encode(APPLICATION_DATA, BIG_PAYLOAD)
     with _patched_nonces():
         writer = _tls_writer(suite)
-        sequential = b"".join(writer.encode(ct, p) for ct, p in items)
-    assert batched == sequential
+        sequential = b"".join(
+            writer.encode(APPLICATION_DATA, piece) for piece in _slices(BIG_PAYLOAD)
+        )
+    assert batch == sequential
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+def test_mctls_encode_batch_matches_sequential(suite_name):
+    suite = ALL_SUITES[suite_name]
+    with _patched_nonces():
+        batch = _two_context_layer(suite, True).encode(APPLICATION_DATA, BIG_PAYLOAD, 2)
+    with _patched_nonces():
+        layer = _two_context_layer(suite, True)
+        sequential = b"".join(
+            layer.encode(APPLICATION_DATA, piece, 2) for piece in _slices(BIG_PAYLOAD)
+        )
+    assert batch == sequential
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+def test_compact_encode_batch_matches_sequential(suite_name):
+    """Same under the compact framing, whose field MACs cover each
+    record's own payload slice."""
+    suite = ALL_SUITES[suite_name]
+    with _patched_nonces():
+        layer = _two_context_layer(suite, True, MCTLS_COMPACT)
+        batch = layer.encode(APPLICATION_DATA, BIG_PAYLOAD, 1)
+    with _patched_nonces():
+        layer = _two_context_layer(suite, True, MCTLS_COMPACT)
+        sequential = b"".join(
+            layer.encode(APPLICATION_DATA, piece, 1) for piece in _slices(BIG_PAYLOAD)
+        )
+    assert batch == sequential
+
+
+# -- endpoint readers across feed shapes ----------------------------------------
 
 
 @pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
 def test_tls_read_burst_matches_read_all(suite_name):
     suite = ALL_SUITES[suite_name]
     items = [(APPLICATION_DATA, p) for p in _random_payloads(_rng("tls-dec"))]
+    items.insert(len(items) // 2, (HANDSHAKE, b"mid-burst control"))
     with _patched_nonces():
-        wire = _tls_writer(suite).encode_batch(items)
-    burst_reader, seq_reader = _tls_reader(suite), _tls_reader(suite)
-    burst_reader.feed(wire)
-    seq_reader.feed(wire)
-    assert list(burst_reader.read_burst()) == list(seq_reader.read_all())
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_mctls_encode_batch_matches_sequential(suite_name):
-    """Multi-context burst with a mid-burst control record: identical
-    bytes, because seqs, MAC slots, and nonces advance in record order
-    on both paths."""
-    suite = ALL_SUITES[suite_name]
-    items = _mixed_mctls_items(_rng("mctls-enc"))
-    with _patched_nonces():
-        batched = _mctls_two_context_layer(suite, True).encode_batch(items)
-    with _patched_nonces():
-        layer = _mctls_two_context_layer(suite, True)
-        sequential = b"".join(layer.encode(ct, p, cid) for ct, p, cid in items)
-    assert batched == sequential
+        writer = _tls_writer(suite)
+        wires = [writer.encode(ct, payload) for ct, payload in items]
+    outcomes = _endpoint_outcomes(lambda: _tls_reader(suite), wires, tuple)
+    assert _assert_one_outcome(outcomes) == (items, None)
 
 
 @pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
 def test_mctls_read_burst_matches_read_all(suite_name):
+    """ChangeCipherSpec, then a multi-context stream with a control
+    record mid-stream: every feed shape yields the same records."""
     suite = ALL_SUITES[suite_name]
     items = _mixed_mctls_items(_rng("mctls-dec"))
-    with _patched_nonces():
-        wire = _mctls_two_context_layer(suite, True).encode_batch(items)
-    burst_reader = _mctls_two_context_layer(suite, False)
-    seq_reader = _mctls_two_context_layer(suite, False)
-    burst_reader.feed(wire)
-    seq_reader.feed(wire)
-    batched = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in burst_reader.read_burst()
+    wires = _mctls_wires(suite, items)
+    outcomes = _endpoint_outcomes(
+        lambda: _two_context_layer(suite, False, active=False), wires, _mctls_record
+    )
+    records, failure = _assert_one_outcome(outcomes)
+    assert failure is None
+    assert [(ct, cid, p) for ct, cid, p, _ in records[2:]] == [
+        (ct, cid, p) for ct, p, cid in items
     ]
-    sequential = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in seq_reader.read_all()
-    ]
-    assert batched == sequential
-
-
-def _processor(suite, permission: Permission) -> MiddleboxRecordProcessor:
-    proc = MiddleboxRecordProcessor(suite, mk.C2S)
-    if permission is not Permission.NONE:
-        proc.install(1, permission, mk.ckd_context_keys(SECRET, RC, RS, 1))
-    proc.activate()
-    return proc
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-@pytest.mark.parametrize(
-    "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
-    ids=lambda p: p.name.lower(),
-)
-def test_middlebox_burst_matches_sequential(suite_name, permission):
-    """Forwarded bytes, opened payloads, and the post-burst sequence
-    number are identical whether a flight is processed record by record
-    or as one burst (the ``_relay_app_burst`` shape)."""
-    suite = ALL_SUITES[suite_name]
-    rng = _rng(f"mbox-{permission.name}")
-    payloads = [p for p in _random_payloads(rng) ]
-    with _patched_nonces():
-        client = _mctls_layer(suite, True)
-        wire = client.encode_batch([(APPLICATION_DATA, p, 1) for p in payloads])
-
-    rebuild = permission is Permission.WRITE
-    # Sequential twin.
-    with _patched_nonces():
-        seq_proc = _processor(suite, permission)
-        seq_out = []
-        seq_opened = []
-        for ct, cid, fragment, raw in split_records(bytearray(wire)):
-            opened = seq_proc.open_record(ct, cid, fragment)
-            if opened.payload is not None:
-                seq_opened.append(bytes(opened.payload))
-            if rebuild and opened.payload is not None:
-                seq_out.append(seq_proc.rebuild_record(opened, opened.payload))
-            else:
-                seq_out.append(bytes(raw))
-    # Batched twin (nonce schedule: opens draw none, rebuilds draw in
-    # record order — same total order as the sequential loop).
-    with _patched_nonces():
-        burst_proc = _processor(suite, permission)
-        burst, entries, error = split_burst(bytearray(wire))
-        assert error is None
-        batched_out = []
-        batched_opened = []
-        if burst_proc.opaque:
-            burst_proc.skip_burst(len(entries))
-            batched_out.append(burst[entries[0][2] : entries[-1][3]])
-        else:
-            view = memoryview(burst)
-            recs = [
-                (ct, cid, view[start + MCTLS_HEADER_LEN : end])
-                for ct, cid, start, end in entries
-            ]
-            opened_records = []
-            for (ct, cid, start, end), opened in zip(
-                entries, burst_proc.open_burst(recs)
-            ):
-                if opened is None:
-                    batched_out.append(burst[start:end])
-                    continue
-                batched_opened.append(bytes(opened.payload))
-                if rebuild:
-                    opened_records.append(opened)
-                else:
-                    batched_out.append(burst[start:end])
-            if rebuild:
-                batched_out.extend(
-                    burst_proc.rebuild_burst(
-                        [(o, o.payload) for o in opened_records]
-                    )
-                )
-    assert b"".join(batched_out) == b"".join(seq_out)
-    if permission is Permission.READ:
-        assert batched_opened == seq_opened
-    assert burst_proc.seq == seq_proc.seq
-
-
-def test_endpoint_tamper_mid_burst_fails_at_same_record():
-    """Flip a byte mid-burst: the batched reader yields exactly the
-    records before the bad one, then raises the same MAC failure the
-    sequential reader does."""
-    suite = SUITES["shactr"]
-    payloads = [b"tamper-target-%d" % i * 3 for i in range(8)]
-    with _patched_nonces():
-        wire = bytearray(
-            _mctls_layer(suite, True).encode_batch(
-                [(APPLICATION_DATA, p, 1) for p in payloads]
-            )
-        )
-    # Corrupt a payload byte of record 5 (first ciphertext byte after
-    # the 16-byte nonce) — an illegal modification MAC_writers catches.
-    entries = split_burst(bytearray(wire))[1]
-    wire[entries[5][2] + MCTLS_HEADER_LEN + 16] ^= 0x40
-
-    outcomes = []
-    for reader_method in ("read_burst", "read_all"):
-        reader = _mctls_layer(suite, False)
-        reader.feed(bytes(wire))
-        yielded = []
-        with pytest.raises(MacVerificationError) as excinfo:
-            for record in getattr(reader, reader_method)():
-                yielded.append(record.payload)
-        outcomes.append((yielded, excinfo.value.mac, excinfo.value.context_id))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == payloads[:5]
-
-
-def test_middlebox_tamper_mid_burst_fails_at_same_record():
-    """Same property for a READ middlebox's ``open_burst``."""
-    suite = SUITES["shactr"]
-    payloads = _random_payloads(_rng("tamper-mbox"), count=8)
-    with _patched_nonces():
-        wire = bytearray(
-            _mctls_layer(suite, True).encode_batch(
-                [(APPLICATION_DATA, p, 1) for p in payloads]
-            )
-        )
-    entries = split_burst(bytearray(wire))[1]
-    wire[entries[5][3] - 1] ^= 0x40
-
-    outcomes = []
-    # Sequential.
-    proc = _processor(suite, Permission.READ)
-    yielded = []
-    with pytest.raises(MacVerificationError) as excinfo:
-        for ct, cid, fragment, _raw in split_records(bytearray(wire)):
-            yielded.append(bytes(proc.open_record(ct, cid, fragment).payload))
-    outcomes.append((yielded, excinfo.value.mac))
-    # Batched.
-    proc = _processor(suite, Permission.READ)
-    burst, entries, error = split_burst(bytearray(wire))
-    assert error is None
-    view = memoryview(burst)
-    recs = [
-        (ct, cid, view[start + MCTLS_HEADER_LEN : end])
-        for ct, cid, start, end in entries
-    ]
-    yielded = []
-    with pytest.raises(MacVerificationError) as excinfo:
-        for opened in proc.open_burst(recs):
-            yielded.append(bytes(opened.payload))
-    outcomes.append((yielded, excinfo.value.mac))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == payloads[:5]
-
-
-# -- compact-framing differentials --------------------------------------------
-#
-# The batched==sequential identity must hold under the negotiated
-# compact framing too: shorter headers, truncated MACs, and per-field
-# MAC trailers change the geometry the burst paths slice, not the
-# record-order nonce/seq schedule.
-
-from repro.framing import MCTLS_COMPACT  # noqa: E402
-
-from tests.golden.gen_compact_vectors import SCHEMA as COMPACT_SCHEMA  # noqa: E402
-
-
-def _compact_two_context_layer(suite, is_client: bool) -> McTLSRecordLayer:
-    layer = _mctls_two_context_layer(suite, is_client)
-    field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
-    layer.set_framing(MCTLS_COMPACT, (COMPACT_SCHEMA,), {1: field_keys})
-    return layer
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_compact_encode_batch_matches_sequential(suite_name):
-    suite = ALL_SUITES[suite_name]
-    items = _mixed_mctls_items(_rng("compact-enc"))
-    with _patched_nonces():
-        batched = _compact_two_context_layer(suite, True).encode_batch(items)
-    with _patched_nonces():
-        layer = _compact_two_context_layer(suite, True)
-        sequential = b"".join(layer.encode(ct, p, cid) for ct, p, cid in items)
-    assert batched == sequential
 
 
 @pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
 def test_compact_read_burst_matches_read_all(suite_name):
+    """The default-framed ChangeCipherSpec and the compact-framed records
+    behind it decode alike whether they arrive in one buffer or split."""
     suite = ALL_SUITES[suite_name]
     items = _mixed_mctls_items(_rng("compact-dec"))
-    with _patched_nonces():
-        wire = _compact_two_context_layer(suite, True).encode_batch(items)
-    burst_reader = _compact_two_context_layer(suite, False)
-    seq_reader = _compact_two_context_layer(suite, False)
-    burst_reader.feed(wire)
-    seq_reader.feed(wire)
-    batched = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in burst_reader.read_burst()
-    ]
-    sequential = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in seq_reader.read_all()
-    ]
-    assert batched == sequential
-    assert [p for _, _, p, _ in batched] == [p for _, p, _ in items]
+    wires = _mctls_wires(suite, items, MCTLS_COMPACT)
+    assert wires[1][0] & 0xFC == 0xD0  # the Finished is compact-framed
+    outcomes = _endpoint_outcomes(
+        lambda: _two_context_layer(suite, False, MCTLS_COMPACT, active=False),
+        wires,
+        _mctls_record,
+    )
+    records, failure = _assert_one_outcome(outcomes)
+    assert failure is None
+    assert [p for _, _, p, _ in records[2:]] == [p for _, p, _ in items]
 
 
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-@pytest.mark.parametrize(
-    "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
-    ids=lambda p: p.name.lower(),
-)
-def test_compact_middlebox_burst_matches_sequential(suite_name, permission):
-    """The middlebox burst grid under compact geometry: 4-byte headers,
-    8-byte MAC slots, field-MAC trailers forwarded or recomputed — same
-    bytes, opened payloads and post-burst seq as the sequential loop."""
-    suite = ALL_SUITES[suite_name]
-    rng = _rng(f"compact-mbox-{permission.name}")
-    payloads = _random_payloads(rng)
-    with _patched_nonces():
-        client = _compact_two_context_layer(suite, True)
-        wire = client.encode_batch([(APPLICATION_DATA, p, 1) for p in payloads])
-    field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
-
-    def _compact_processor():
-        proc = _processor(suite, permission)
-        proc.set_framing(MCTLS_COMPACT, (COMPACT_SCHEMA,))
-        if permission is Permission.WRITE:
-            proc.install_field_keys(1, {0: field_keys[0]})  # "hdr" grant
-        return proc
-
-    rebuild = permission is Permission.WRITE
-    header_len = MCTLS_COMPACT.header_len
-    with _patched_nonces():
-        seq_proc = _compact_processor()
-        seq_out, seq_opened = [], []
-        for ct, cid, fragment, raw in split_records(bytearray(wire), MCTLS_COMPACT):
-            opened = seq_proc.open_record(ct, cid, fragment)
-            if opened.payload is not None:
-                seq_opened.append(bytes(opened.payload))
-            if rebuild and opened.payload is not None:
-                seq_out.append(seq_proc.rebuild_record(opened, opened.payload))
-            else:
-                seq_out.append(bytes(raw))
-    with _patched_nonces():
-        burst_proc = _compact_processor()
-        burst, entries, error = split_burst(bytearray(wire), MCTLS_COMPACT)
-        assert error is None
-        batched_out, batched_opened = [], []
-        if burst_proc.opaque:
-            burst_proc.skip_burst(len(entries))
-            batched_out.append(burst[entries[0][2] : entries[-1][3]])
-        else:
-            view = memoryview(burst)
-            recs = [
-                (ct, cid, view[start + header_len : end])
-                for ct, cid, start, end in entries
-            ]
-            opened_records = []
-            for (ct, cid, start, end), opened in zip(
-                entries, burst_proc.open_burst(recs)
-            ):
-                if opened is None:
-                    batched_out.append(burst[start:end])
-                    continue
-                batched_opened.append(bytes(opened.payload))
-                if rebuild:
-                    opened_records.append(opened)
-                else:
-                    batched_out.append(burst[start:end])
-            if rebuild:
-                batched_out.extend(
-                    burst_proc.rebuild_burst([(o, o.payload) for o in opened_records])
-                )
-    assert b"".join(batched_out) == b"".join(seq_out)
-    if permission is Permission.READ:
-        assert batched_opened == seq_opened
-    assert burst_proc.seq == seq_proc.seq
-
-
-def test_compact_endpoint_tamper_mid_burst_fails_at_same_record():
-    """Mid-burst tamper under compact framing: batched and sequential
-    readers fail at the same record with the same MAC attribution."""
-    suite = SUITES["shactr"]
-    payloads = [b"tamper-target-%d" % i * 3 for i in range(8)]
-    with _patched_nonces():
-        wire = bytearray(
-            _compact_two_context_layer(suite, True).encode_batch(
-                [(APPLICATION_DATA, p, 1) for p in payloads]
-            )
-        )
-    entries = split_burst(bytearray(wire), MCTLS_COMPACT)[1]
-    wire[entries[5][2] + MCTLS_COMPACT.header_len + 16] ^= 0x40
-
-    outcomes = []
-    for reader_method in ("read_burst", "read_all"):
-        reader = _compact_two_context_layer(suite, False)
-        reader.feed(bytes(wire))
-        yielded = []
-        with pytest.raises(MacVerificationError) as excinfo:
-            for record in getattr(reader, reader_method)():
-                yielded.append(record.payload)
-        outcomes.append((yielded, excinfo.value.mac, excinfo.value.context_id))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == payloads[:5]
-
-
-# -- full-stack event-stream equivalence --------------------------------------
+# -- the middlebox relay across feed shapes -------------------------------------
 
 
 @pytest.fixture(scope="module")
 def bed() -> TestBed:
     return TestBed(key_bits=512, dh_group=GROUP_TEST_512)
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@PERMISSIONS
+def test_middlebox_burst_matches_sequential(bed, suite_name, permission):
+    """Events, forwarded bytes and the post-stream sequence number are
+    identical whether the relay gets the stream in one buffer, record by
+    record, or cut mid-record — across the ChangeCipherSpec and a
+    mid-stream control record."""
+    suite = ALL_SUITES[suite_name]
+    items = _mixed_mctls_items(_rng(f"mbox-{permission.name}"))
+    wires = _mctls_wires(suite, items)
+    outcomes = _middlebox_outcomes(bed, suite, permission, MCTLS_DEFAULT, wires)
+    events, output, failure, seq = _assert_one_outcome(outcomes)
+    assert failure is None
+    assert seq == len(wires) - 1  # every protected record consumed one
+    readable = [p for ct, p, cid in items if ct == APPLICATION_DATA and cid == 1]
+    if permission is Permission.NONE:
+        assert events == [] and output == b"".join(wires)
+    else:
+        assert [e.data for e in events] == [
+            p.upper() if permission.can_write and len(p) % 2 else p for p in readable
+        ]
+    if permission is Permission.READ:
+        assert output == b"".join(wires)
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@PERMISSIONS
+def test_compact_middlebox_burst_matches_sequential(bed, suite_name, permission):
+    """The same under the compact framing: a default-framed
+    ChangeCipherSpec followed by a compact-framed Finished, 4-byte
+    headers, 8-byte MAC slots and field-MAC trailers forwarded or
+    recomputed — one outcome for every feed shape."""
+    suite = ALL_SUITES[suite_name]
+    items = _mixed_mctls_items(_rng(f"compact-mbox-{permission.name}"))
+    wires = _mctls_wires(suite, items, MCTLS_COMPACT)
+    outcomes = _middlebox_outcomes(bed, suite, permission, MCTLS_COMPACT, wires)
+    events, output, failure, seq = _assert_one_outcome(outcomes)
+    assert failure is None
+    assert seq == len(wires) - 1
+    if permission is not Permission.WRITE:
+        assert output == b"".join(wires)
+    readable = [p for ct, p, cid in items if ct == APPLICATION_DATA and cid == 1]
+    assert len(events) == (0 if permission is Permission.NONE else len(readable))
+
+
+# -- the burst rebuild ---------------------------------------------------------
+#
+# The relay rebuilds per modified record; ``rebuild_burst`` is the
+# burst-wide rebuild the dataplane benchmarks gate.  Its bytes must equal
+# a ``rebuild_record`` loop on every suite, including the fused SHA-CTR
+# re-encryption and the compact framing's field-MAC trailers.
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize(
+    "framing", [MCTLS_DEFAULT, MCTLS_COMPACT], ids=["default", "compact"]
+)
+def test_rebuild_burst_matches_rebuild_record_loop(suite_name, framing):
+    """Modified, unmodified, grown, shrunk and emptied payloads: one
+    ``rebuild_burst`` == per-pair ``rebuild_record``, byte for byte."""
+    suite = ALL_SUITES[suite_name]
+    payloads = _random_payloads(_rng(f"rebuild-{framing.name}"))
+    burst, entries = split_burst(b"".join(_app_wires(suite, payloads, framing)), framing)
+    proc = _processor(suite, Permission.WRITE, framing)
+    proc.activate()
+    opened = list(proc.open_wire_burst(burst, entries))
+    replacements = [
+        [p, p.upper(), p + b"grown", p[: len(p) // 2], b""][i % 5]
+        for i, p in enumerate(payloads)
+    ]
+    pairs = list(zip(opened, replacements))
+    with _patched_nonces():
+        burst_wires = proc.rebuild_burst(pairs)
+    with _patched_nonces():
+        loop_wires = [proc.rebuild_record(o, p) for o, p in pairs]
+    assert len(burst_wires) == len(payloads)
+    assert burst_wires == loop_wires
+
+
+# -- tampering mid-stream -------------------------------------------------------
+
+
+def test_endpoint_tamper_mid_burst_fails_at_same_record():
+    """Flip a payload byte of record 5: every feed shape yields exactly
+    the records before it, then fails with the same MAC attribution."""
+    suite = SUITES["shactr"]
+    payloads = [b"tamper-target-%d" % i * 3 for i in range(8)]
+    wires = _app_wires(suite, payloads)
+    bad = bytearray(wires[5])
+    bad[MCTLS_DEFAULT.header_len + 16] ^= 0x40  # first ciphertext byte
+    wires[5] = bytes(bad)
+    outcomes = _endpoint_outcomes(
+        lambda: _mctls_layer(suite, False), wires, lambda r: r.payload
+    )
+    records, failure = _assert_one_outcome(outcomes)
+    assert records == payloads[:5]
+    assert failure == ("MacVerificationError", "writers", "endpoint", 1, 5)
+
+
+def test_middlebox_tamper_mid_burst_fails_at_same_record(bed):
+    """A READ relay forwards exactly the records before the tampered one,
+    then fails on its reader MAC, in every shape."""
+    suite = SUITES["shactr"]
+    payloads = _random_payloads(_rng("tamper-mbox"), count=8)
+    wires = _mctls_wires(suite, [(APPLICATION_DATA, p, 1) for p in payloads])
+    bad = bytearray(wires[2 + 5])
+    bad[-1] ^= 0x40  # last MAC byte
+    wires[2 + 5] = bytes(bad)
+    outcomes = _middlebox_outcomes(bed, suite, Permission.READ, MCTLS_DEFAULT, wires)
+    # Events queued by the failing call never reach the caller, so only
+    # the forwarded bytes and the failure are shape-independent here.
+    output, failure = _assert_one_outcome(
+        {shape: outcome[1:3] for shape, outcome in outcomes.items()}
+    )
+    assert output == b"".join(wires[: 2 + 5])
+    assert failure == ("MacVerificationError", "readers", "middlebox", 1, 6)
+
+
+def test_compact_endpoint_tamper_mid_burst_fails_at_same_record():
+    """Mid-stream tamper under compact framing: one failing record and
+    MAC attribution for every feed shape."""
+    suite = SUITES["shactr"]
+    payloads = [b"tamper-target-%d" % i * 3 for i in range(8)]
+    wires = _app_wires(suite, payloads, MCTLS_COMPACT)
+    bad = bytearray(wires[5])
+    bad[MCTLS_COMPACT.header_len + 16] ^= 0x40
+    wires[5] = bytes(bad)
+    outcomes = _endpoint_outcomes(
+        lambda: _two_context_layer(suite, False, MCTLS_COMPACT),
+        wires,
+        lambda r: r.payload,
+    )
+    records, failure = _assert_one_outcome(outcomes)
+    assert records == payloads[:5]
+    assert failure == ("MacVerificationError", "writers", "endpoint", 1, 5)
+
+
+# -- full-stack event-stream equivalence --------------------------------------
 
 
 def _app_events(events):
@@ -709,19 +796,19 @@ class TestRecordBufferSnapshot:
     def test_snapshot_survives_compaction_on_later_append(self, monkeypatch):
         """The hazard: burst offsets parsed against ``data``/``pos``
         held across an ``append`` whose reclamation shifts the buffer.
-        ``snapshot`` copies the span out atomically, so a compacting
+        ``take`` copies the span out atomically, so a compacting
         append afterwards must not disturb it or the cursor."""
         import repro.recbuf as recbuf
 
         monkeypatch.setattr(recbuf, "_COMPACT_BYTES", 8)
         buf = RecordBuffer()
         buf.append(b"AAAABBBBCCCCDDDD")
-        first = buf.snapshot(12)  # cursor now well past the tiny threshold
+        first = buf.take(12)  # cursor now well past the tiny threshold
         assert first == b"AAAABBBBCCCC"
         buf.append(b"EEEE")  # triggers reclamation of the consumed prefix
         assert buf.pos == 0  # the dead prefix was compacted away
         assert first == b"AAAABBBBCCCC"  # the snapshot is self-contained
-        assert buf.snapshot(8) == b"DDDDEEEE"
+        assert buf.take(8) == b"DDDDEEEE"
         assert len(buf) == 0
 
     def test_interleaved_feed_and_read_at_fragment_boundaries(self):
@@ -734,24 +821,9 @@ class TestRecordBufferSnapshot:
         with _patched_nonces():
             writer = _mctls_layer(suite, True)
             wires = [writer.encode(APPLICATION_DATA, p, 1) for p in payloads]
-        stream = b"".join(wires)
-        boundaries = []
-        offset = 0
-        for wire in wires:
-            offset += len(wire)
-            boundaries.append(offset)
-        # Chunk edges at, just before, and just after record boundaries,
-        # plus mid-fragment cuts.
-        cuts = sorted(
-            {0, len(stream)}
-            | {b for b in boundaries}
-            | {max(0, b - 1) for b in boundaries}
-            | {min(len(stream), b + 1) for b in boundaries}
-            | {b - len(w) // 2 for b, w in zip(boundaries, wires) if len(w) > 1}
-        )
         reader = _mctls_layer(suite, False)
         got = []
-        for start, end in zip(cuts, cuts[1:]):
-            reader.feed(stream[start:end])
+        for chunk in _feed_shapes(wires)["cuts"]:
+            reader.feed(chunk)
             got.extend(record.payload for record in reader.read_burst())
         assert got == payloads

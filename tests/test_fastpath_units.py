@@ -25,10 +25,11 @@ from repro.mctls.record import (
     McTLSRecordError,
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
-    split_records,
 )
 from repro.recbuf import RecordBuffer
 from repro.tls.ciphersuites import SUITE_DHE_RSA_SHACTR_SHA256 as SUITE
+
+from tests.mctls_helpers import split_wire
 
 SECRET, RC, RS = b"S" * 48, b"c" * 32, b"s" * 32
 
@@ -47,7 +48,7 @@ class TestRecordBuffer:
     def test_take_and_consume_advance_the_cursor(self):
         buf = RecordBuffer()
         buf.append(b"hello world")
-        buf.consume(6)
+        assert buf.take(6) == b"hello "
         assert buf.take(5) == b"world"
         assert len(buf) == 0
 
@@ -65,7 +66,7 @@ class TestRecordBuffer:
         header = Struct(">BH")
         buf = RecordBuffer()
         buf.append(b"\x00" + header.pack(7, 513) + b"rest")
-        buf.consume(1)
+        buf.take(1)
         assert header.unpack_from(buf.data, buf.pos) == (7, 513)
 
     def test_fully_consumed_buffer_resets_on_append(self):
@@ -78,7 +79,7 @@ class TestRecordBuffer:
     def test_large_consumed_prefix_is_compacted(self):
         buf = RecordBuffer()
         buf.append(b"x" * (1 << 17))
-        buf.consume((1 << 17) - 3)
+        buf.take((1 << 17) - 3)
         buf.append(b"yz")
         assert buf.take(5) == b"xxxyz"
         assert buf.pos <= 5  # the 128 KiB prefix was reclaimed
@@ -250,7 +251,7 @@ class TestRekeyInvalidation:
         proc.install(1, Permission.WRITE, mk.ckd_context_keys(SECRET, RC, RS, 1))
         proc.activate()
         wire = client.encode(APPLICATION_DATA, b"first", 1)
-        ct, cid, frag, _ = next(split_records(bytearray(wire)))
+        ct, cid, frag, _ = split_wire(wire)[0]
         assert proc.open_record(ct, cid, frag).payload == b"first"
 
         new_secret = b"V" * 48
@@ -258,7 +259,7 @@ class TestRekeyInvalidation:
         proc.install(1, Permission.WRITE, mk.ckd_context_keys(new_secret, RC, RS, 1))
         proc.seq = 0  # fresh session on the rekeyed keys
         wire = client2.encode(APPLICATION_DATA, b"second", 1)
-        ct, cid, frag, _ = next(split_records(bytearray(wire)))
+        ct, cid, frag, _ = split_wire(wire)[0]
         assert proc.open_record(ct, cid, frag).payload == b"second"
 
     def test_processor_opaque_contexts_are_cached_but_rekeyable(self):
@@ -267,7 +268,7 @@ class TestRekeyInvalidation:
         proc.install(1, Permission.NONE, None)
         proc.activate()
         wire = client.encode(APPLICATION_DATA, b"hidden", 1)
-        ct, cid, frag, raw = next(split_records(bytearray(wire)))
+        ct, cid, frag, raw = split_wire(wire)[0]
         opened = proc.open_record(ct, cid, frag)
         assert opened.payload is None
         assert opened.permission is Permission.NONE
@@ -275,16 +276,23 @@ class TestRekeyInvalidation:
         proc.install(1, Permission.READ, mk.ckd_context_keys(SECRET, RC, RS, 1))
         proc.seq = 1  # continue the same sequence space
         wire = client.encode(APPLICATION_DATA, b"visible", 1)
-        ct, cid, frag, _ = next(split_records(bytearray(wire)))
+        ct, cid, frag, _ = split_wire(wire)[0]
         assert proc.open_record(ct, cid, frag).payload == b"visible"
 
     def test_rebuild_without_write_permission_is_rejected(self):
-        client = _layer(True)
-        proc = MiddleboxRecordProcessor(SUITE, mk.C2S)
-        proc.install(1, Permission.READ, mk.ckd_context_keys(SECRET, RC, RS, 1))
-        proc.activate()
-        wire = client.encode(APPLICATION_DATA, b"read only", 1)
-        ct, cid, frag, _ = next(split_records(bytearray(wire)))
-        opened = proc.open_record(ct, cid, frag)
-        with pytest.raises(McTLSRecordError, match="lacks write permission"):
-            proc.rebuild_record(opened, b"tampered")
+        keys = mk.ckd_context_keys(SECRET, RC, RS, 1)
+        for permission, context_keys, error in (
+            (Permission.READ, keys, "lacks write permission"),
+            # WRITE granted but no key material installed: still a typed
+            # record error, never a bare KeyError.
+            (Permission.WRITE, None, "no write keys"),
+        ):
+            client = _layer(True)
+            proc = MiddleboxRecordProcessor(SUITE, mk.C2S)
+            proc.install(1, permission, context_keys)
+            proc.activate()
+            wire = client.encode(APPLICATION_DATA, b"read only", 1)
+            ct, cid, frag, _ = split_wire(wire)[0]
+            opened = proc.open_record(ct, cid, frag)
+            with pytest.raises(McTLSRecordError, match=error):
+                proc.rebuild_record(opened, b"tampered")

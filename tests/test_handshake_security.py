@@ -21,7 +21,7 @@ from repro.tls.connection import TLSConfig, TLSError
 from repro.tls.record import HANDSHAKE
 from repro.transport import Chain
 
-from tests.mctls_helpers import build_session
+from tests.mctls_helpers import build_session, split_wire
 
 
 def ctx(ctx_id, perms=None):
@@ -29,7 +29,7 @@ def ctx(ctx_id, perms=None):
 
 
 def records_of(wire: bytes):
-    return list(mrec.split_records(bytearray(wire)))
+    return split_wire(wire)
 
 
 class _TamperingRelay:

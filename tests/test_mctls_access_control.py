@@ -21,7 +21,7 @@ from repro.mctls.session import McTLSApplicationData
 from repro.tls.connection import TLSError
 from repro.tls.record import APPLICATION_DATA
 
-from tests.mctls_helpers import build_session
+from tests.mctls_helpers import build_session, split_wire
 
 
 def ctx(ctx_id, perms):
@@ -225,7 +225,7 @@ class TestReaderLimitation:
         rogue = MiddleboxRecordProcessor(SUITE, mk.C2S)
         rogue.install(1, Permission.READ, keys)
         rogue.activate()
-        _, ctx_id, fragment, _ = next(mrec.split_records(bytearray(wire)))
+        _, ctx_id, fragment, _ = split_wire(wire)[0]
         opened = rogue.open_record(APPLICATION_DATA, ctx_id, fragment)
         reader_dir = keys.readers.for_direction(mk.C2S)
         new_payload = b"FORGERY!"
@@ -245,7 +245,7 @@ class TestReaderLimitation:
         second_reader = MiddleboxRecordProcessor(SUITE, mk.C2S)
         second_reader.install(1, Permission.READ, keys)
         second_reader.activate()
-        _, _, fragment2, _ = next(mrec.split_records(bytearray(forged_record)))
+        _, _, fragment2, _ = split_wire(forged_record)[0]
         opened2 = second_reader.open_record(APPLICATION_DATA, 1, fragment2)
         assert opened2.payload == b"FORGERY!"  # undetected, as the paper admits
 

@@ -13,10 +13,13 @@ from repro.mctls.record import (
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
     encode_header,
-    split_records,
 )
 from repro.tls.ciphersuites import SUITE_DHE_RSA_SHACTR_SHA256 as SUITE
+from repro.framing import MCTLS_DEFAULT, FramingError
+from repro.recbuf import RecordBuffer
 from repro.tls.record import ALERT, APPLICATION_DATA, HANDSHAKE, MAX_PLAINTEXT
+
+from tests.mctls_helpers import split_wire
 
 RC, RS = b"c" * 32, b"s" * 32
 ENDPOINT_SECRET = b"S" * 48
@@ -132,13 +135,40 @@ class TestSplitRecords:
     def test_yields_complete_records_only(self):
         client, _ = make_pair()
         wire = client.encode(APPLICATION_DATA, b"abc", 1)
-        buf = bytearray(wire[:-1])
-        assert list(split_records(buf)) == []
-        buf += wire[-1:]
-        records = list(split_records(buf))
-        assert len(records) == 1
-        assert records[0][3] == wire  # raw bytes preserved
+        buf = RecordBuffer()
+        buf.append(wire[:-1])
+        assert buf.take_records(MCTLS_DEFAULT) == (b"", [], None)
+        buf.append(wire[-1:])
+        burst, entries, error = buf.take_records(MCTLS_DEFAULT)
+        assert error is None
+        assert entries == [(APPLICATION_DATA, 1, 0, len(wire))]
+        assert burst == wire  # raw bytes preserved
         assert not buf
+
+    def test_burst_ends_after_first_control_record(self):
+        client, _ = make_pair()
+        wire = (
+            client.encode(APPLICATION_DATA, b"a", 1)
+            + client.encode(ALERT, b"\x01\x00", ENDPOINT_CONTEXT_ID)
+            + client.encode(APPLICATION_DATA, b"b", 1)
+        )
+        buf = RecordBuffer()
+        buf.append(wire)
+        _, entries, _ = buf.take_records(MCTLS_DEFAULT)
+        assert [entry[0] for entry in entries] == [APPLICATION_DATA, ALERT]
+        _, entries, _ = buf.take_records(MCTLS_DEFAULT)
+        assert [entry[0] for entry in entries] == [APPLICATION_DATA]
+        assert not buf
+
+    def test_limit_caps_the_record_count(self):
+        client, _ = make_pair()
+        wires = [client.encode(APPLICATION_DATA, b"%d" % i, 1) for i in range(6)]
+        buf = RecordBuffer()
+        buf.append(b"".join(wires))
+        burst, entries, _ = buf.take_records(MCTLS_DEFAULT, limit=1)
+        assert burst == wires[0] and len(entries) == 1
+        burst, entries, _ = buf.take_records(MCTLS_DEFAULT)
+        assert burst == b"".join(wires[1:]) and len(entries) == 5
 
     def test_header_fields(self):
         header = encode_header(APPLICATION_DATA, 7, 100)
@@ -147,22 +177,25 @@ class TestSplitRecords:
         assert header[3] == 7
 
     def test_oversized_record_rejected(self):
-        buf = bytearray(encode_header(APPLICATION_DATA, 1, 0xFFFF))
-        with pytest.raises(McTLSRecordError):
-            list(split_records(buf))
+        buf = RecordBuffer()
+        buf.append(encode_header(APPLICATION_DATA, 1, 0xFFFF))
+        burst, entries, error = buf.take_records(MCTLS_DEFAULT)
+        assert (burst, entries) == (b"", [])
+        assert isinstance(error, FramingError)
+        assert len(buf) == MCTLS_HEADER_LEN  # malformed bytes stay put
 
 
 class TestRecordSizeLimits:
     def test_fragment_exactly_at_limit_accepted(self):
         wire = encode_header(APPLICATION_DATA, 1, MAX_FRAGMENT) + b"\x00" * MAX_FRAGMENT
-        records = list(split_records(bytearray(wire)))
+        records = split_wire(wire)
         assert len(records) == 1
         assert len(records[0][2]) == MAX_FRAGMENT
 
     def test_fragment_one_over_limit_rejected(self):
         header = encode_header(APPLICATION_DATA, 1, MAX_FRAGMENT + 1)
-        with pytest.raises(McTLSRecordError, match="too long"):
-            list(split_records(bytearray(header)))
+        with pytest.raises(FramingError, match="too long"):
+            split_wire(header)
 
     def test_payload_exactly_max_plaintext_is_one_record(self):
         """A MAX_PLAINTEXT payload fits one record: its fragment (nonce +
@@ -171,7 +204,7 @@ class TestRecordSizeLimits:
         client, server = make_pair()
         payload = b"x" * MAX_PLAINTEXT
         wire = client.encode(APPLICATION_DATA, payload, 1)
-        records = list(split_records(bytearray(wire)))
+        records = split_wire(wire)
         assert len(records) == 1
         assert len(records[0][2]) <= MAX_FRAGMENT
         server.feed(wire)
@@ -181,7 +214,7 @@ class TestRecordSizeLimits:
         client, server = make_pair()
         payload = b"y" * (MAX_PLAINTEXT + 1)
         wire = client.encode(APPLICATION_DATA, payload, 1)
-        assert len(list(split_records(bytearray(wire)))) == 2
+        assert len(split_wire(wire)) == 2
         server.feed(wire)
         chunks = [r.payload for r in server.read_all()]
         assert [len(c) for c in chunks] == [MAX_PLAINTEXT, 1]
@@ -215,7 +248,7 @@ class TestSequenceNumbers:
 class TestMiddleboxProcessor:
     def _wire(self, client, payload=b"data", ctx=1):
         wire = client.encode(APPLICATION_DATA, payload, ctx)
-        _, ctx_id, fragment, _ = next(split_records(bytearray(wire)))
+        _, ctx_id, fragment, _ = split_wire(wire)[0]
         return ctx_id, fragment
 
     def test_reader_opens_record(self):

@@ -35,13 +35,12 @@ from repro.mctls.record import (
     MCTLS_HEADER_LEN,
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
-    split_burst,
-    split_records,
 )
 from repro.tls.ciphersuites import SUITES
 from repro.tls.record import APPLICATION_DATA, HANDSHAKE, RecordLayer
 
 from tests.golden.gen_record_vectors import _patched_nonces
+from tests.mctls_helpers import split_burst
 
 needs_openssl = pytest.mark.skipif(
     not OPENSSL.available, reason="cryptography package not importable"
@@ -369,9 +368,10 @@ def test_xor_crossover_measured_value_sane():
 @needs_openssl
 @pytest.mark.parametrize("name", sorted(PROVIDER_SUITE_IDS))
 def test_batched_equals_sequential_live(name):
-    """Fresh (non-golden) differential: encode_batch output decodes
-    record-by-record and burst framing round-trips through a WRITE
-    middlebox, under each provider suite."""
+    """Fresh (non-golden) differential under each provider suite: a
+    joined-encode burst splits and opens through a WRITE middlebox, whose
+    batched ``rebuild_burst`` equals a ``rebuild_record`` loop and
+    verifies at the server."""
     suite = _suite(name)
     payloads = [b"", b"x" * 256, bytes(range(64)), b"tail"]
     with _patched_nonces():
@@ -384,29 +384,15 @@ def test_batched_equals_sequential_live(name):
             1, mk.ckd_context_keys(b"S" * 48, b"c" * 32, b"s" * 32, 1)
         )
         writer.activate_write()
-        batch = writer.encode_batch([(APPLICATION_DATA, p, 1) for p in payloads])
-    with _patched_nonces():
-        seq_writer = McTLSRecordLayer(is_client=True)
-        seq_writer.set_suite(suite)
-        seq_writer.set_endpoint_keys(
-            mk.derive_endpoint_keys(b"S" * 48, b"c" * 32, b"s" * 32)
-        )
-        seq_writer.install_context_keys(
-            1, mk.ckd_context_keys(b"S" * 48, b"c" * 32, b"s" * 32, 1)
-        )
-        seq_writer.activate_write()
-        sequential = b"".join(
-            seq_writer.encode(APPLICATION_DATA, p, 1) for p in payloads
-        )
-    assert batch == sequential
+        wire = b"".join(writer.encode(APPLICATION_DATA, p, 1) for p in payloads)
 
     proc = MiddleboxRecordProcessor(suite, mk.C2S)
     proc.install(
         1, Permission.WRITE, mk.ckd_context_keys(b"S" * 48, b"c" * 32, b"s" * 32, 1)
     )
     proc.activate()
-    burst, entries, error = split_burst(bytearray(batch))
-    assert error is None and len(entries) == len(payloads)
+    burst, entries = split_burst(wire)
+    assert len(entries) == len(payloads)
     view = memoryview(burst)
     recs = [
         (ct, cid, view[start + MCTLS_HEADER_LEN : end])
@@ -415,7 +401,11 @@ def test_batched_equals_sequential_live(name):
     opened = list(proc.open_burst(recs))
     for op, payload in zip(opened, payloads):
         assert bytes(op.payload) == payload
-    rebuilt = proc.rebuild_burst([(op, bytes(op.payload)) for op in opened])
+    pairs = [(op, bytes(op.payload)) for op in opened]
+    with _patched_nonces():
+        rebuilt = proc.rebuild_burst(pairs)
+    with _patched_nonces():
+        assert rebuilt == [proc.rebuild_record(op, payload) for op, payload in pairs]
     # Unmodified re-MAC: the server-side reader must accept every record.
     server = McTLSRecordLayer(is_client=False)
     server.set_suite(suite)
@@ -524,8 +514,8 @@ def test_open_wire_burst_matches_open_burst(name, permission):
         proc.activate()
         return proc
 
-    burst, entries, error = split_burst(bytearray(wire))
-    assert error is None and len(entries) == len(payloads)
+    burst, entries = split_burst(wire)
+    assert len(entries) == len(payloads)
     via_wire = list(processor().open_wire_burst(burst, entries))
     view = memoryview(burst)
     via_slices = list(
