@@ -4,7 +4,9 @@ The core is implemented from scratch on top of the Python standard
 library (``hashlib``/``hmac``/``os.urandom``): AES, block-cipher modes,
 finite-field Diffie-Hellman, RSA with PKCS#1 v1.5, the TLS 1.2 PRF, a toy
 certificate infrastructure, and an operation counter used to reproduce the
-paper's Table 3.
+paper's Table 3.  The one exception is modular exponentiation
+(:mod:`repro.crypto.bignum`), which runs on the libcrypto that ``hashlib``
+already links; RSA and DH logic around it stays from scratch.
 
 Record-layer bulk primitives (keystream generators, HMAC contexts)
 additionally route through a pluggable provider registry

@@ -384,8 +384,12 @@ class ShaCtrCipher:
         Returns the *untruncated* stream (``ceil(size/32) * 32`` bytes);
         callers slice.  Single-chunk sizes only — the batched data plane
         never sees larger records (the record layers fragment at 16 KiB).
+        ``REPRO_KEYSTREAM_POOL=off`` bypasses the pool: no lookup, no
+        admission, no hit/miss accounting.
         """
         nblocks = (size + 31) >> 5
+        if _POOL_MODE == "off":
+            return self._stream_chunk(self._base_ctx(nonce), 0, nblocks << 5)
         if type(nonce) is not bytes:
             nonce = bytes(nonce)
         cache_key = (self._key, nonce, nblocks)

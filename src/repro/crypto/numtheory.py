@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import secrets
 
+from repro.crypto.bignum import modexp
+
 # Small primes used for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -24,7 +26,7 @@ _DETERMINISTIC_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     """One Miller-Rabin round; True means "probably prime so far"."""
-    x = pow(a, d, n)
+    x = modexp(a, d, n)
     if x in (1, n - 1):
         return True
     for _ in range(r - 1):

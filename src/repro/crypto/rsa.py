@@ -16,6 +16,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 
+from repro.crypto.bignum import modexp
 from repro.crypto.numtheory import (
     bytes_to_int,
     generate_prime,
@@ -23,15 +24,24 @@ from repro.crypto.numtheory import (
     modinv,
 )
 from repro.crypto.opcount import count_op
+from repro.wire import DecodeError
 
 # DER prefix for a SHA-256 DigestInfo (RFC 8017 §9.2 note 1).
 _SHA256_DIGESTINFO = bytes.fromhex("3031300d060960864801650304020105000420")
 
 _DEFAULT_PUBLIC_EXPONENT = 65537
 
+# Smallest modulus generated or accepted off the wire; PKCS#1 SHA-256
+# signatures need at least 62 bytes of modulus.
+_MIN_MODULUS_BITS = 512
+
 
 class RSAError(Exception):
     """Raised on any RSA padding/verification/size failure."""
+
+
+class RSAKeyDecodeError(RSAError, DecodeError):
+    """Malformed RSA public-key bytes (a parse failure on the wire)."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ class RSAPublicKey:
         k = self.byte_length
         if len(signature) != k:
             return False
-        em = int_to_bytes(pow(bytes_to_int(signature), self.e, self.n), k)
+        em = int_to_bytes(modexp(bytes_to_int(signature), self.e, self.n), k)
         return em == _pkcs1_sign_encode(message, k)
 
     # -- encryption ---------------------------------------------------
@@ -62,13 +72,13 @@ class RSAPublicKey:
         if len(plaintext) > k - 11:
             raise RSAError("plaintext too long for RSA modulus")
         padding_len = k - 3 - len(plaintext)
-        padding = bytearray()
+        # Nonzero bytes, uniform over 1..255: drop the zeros, redraw them.
+        padding = b""
         while len(padding) < padding_len:
-            byte = secrets.token_bytes(1)
-            if byte != b"\x00":
-                padding += byte
-        em = b"\x00\x02" + bytes(padding) + b"\x00" + plaintext
-        return int_to_bytes(pow(bytes_to_int(em), self.e, self.n), k)
+            draw = secrets.token_bytes(padding_len - len(padding))
+            padding += draw.replace(b"\x00", b"")
+        em = b"\x00\x02" + padding + b"\x00" + plaintext
+        return int_to_bytes(modexp(bytes_to_int(em), self.e, self.n), k)
 
     # -- serialization ------------------------------------------------
 
@@ -85,14 +95,19 @@ class RSAPublicKey:
     @classmethod
     def from_bytes(cls, data: bytes) -> "RSAPublicKey":
         if len(data) < 4:
-            raise RSAError("truncated RSA public key")
+            raise RSAKeyDecodeError("truncated RSA public key")
         n_len = int.from_bytes(data[:2], "big")
         n = bytes_to_int(data[2 : 2 + n_len])
         offset = 2 + n_len
         e_len = int.from_bytes(data[offset : offset + 2], "big")
         e = bytes_to_int(data[offset + 2 : offset + 2 + e_len])
         if offset + 2 + e_len != len(data):
-            raise RSAError("trailing bytes after RSA public key")
+            raise RSAKeyDecodeError("trailing bytes after RSA public key")
+        if n.bit_length() < _MIN_MODULUS_BITS or not n & 1 or e < 3 or not e & 1:
+            raise RSAKeyDecodeError(
+                "RSA public key needs an odd modulus of at least "
+                f"{_MIN_MODULUS_BITS} bits and an odd exponent above 1"
+            )
         return cls(n=n, e=e)
 
 
@@ -118,8 +133,8 @@ class RSAPrivateKey:
 
     def _private_op(self, c: int) -> int:
         """RSA private-key exponentiation using the CRT."""
-        m1 = pow(c % self.p, self.dp, self.p)
-        m2 = pow(c % self.q, self.dq, self.q)
+        m1 = modexp(c % self.p, self.dp, self.p)
+        m2 = modexp(c % self.q, self.dq, self.q)
         h = (self.qinv * (m1 - m2)) % self.p
         return m2 + h * self.q
 
@@ -164,8 +179,8 @@ def _pkcs1_sign_encode(message: bytes, k: int) -> bytes:
 
 def generate_rsa_key(bits: int = 2048, e: int = _DEFAULT_PUBLIC_EXPONENT) -> RSAPrivateKey:
     """Generate an RSA key pair with an n of exactly ``bits`` bits."""
-    if bits < 512:
-        raise ValueError("RSA keys below 512 bits are not supported")
+    if bits < _MIN_MODULUS_BITS:
+        raise ValueError(f"RSA keys below {_MIN_MODULUS_BITS} bits are not supported")
     while True:
         p = generate_prime(bits // 2)
         q = generate_prime(bits - bits // 2)

@@ -34,7 +34,7 @@ def matrix_results():
 def matrix_results_burst():
     """The same 39 cells with three records pumped as one flight and the
     tampering aimed mid-burst (record_index=1) — the mutation lands
-    inside the relays' batched ``_relay_app_burst`` path."""
+    inside the relays' batched ``_relay_burst`` path."""
     return fm.run_matrix(fm.SEED, burst=True)
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.crypto.aes import AES
 from repro.crypto.fastcipher import (
     KEYSTREAM_POOL,
+    ShaCtrCipher,
     _measured_numpy_crossover,
     clear_keystream_cache,
 )
@@ -313,6 +314,23 @@ def test_pool_mode_override(monkeypatch):
     assert KEYSTREAM_POOL.worthwhile(0.0)
     monkeypatch.setattr(fastcipher, "_POOL_MODE", "off")
     assert not KEYSTREAM_POOL.worthwhile(float("inf"))
+
+
+def test_pool_mode_off_bypasses_sha_ctr_memo(monkeypatch):
+    """``off`` means the SHA-CTR cipher neither looks up nor admits."""
+    from repro.crypto import fastcipher
+
+    clear_keystream_cache()
+    cipher = ShaCtrCipher(b"\xee" * 16)
+    nonce = b"\x22" * 16
+    expected = cipher.keystream(nonce, 352)
+    monkeypatch.setattr(fastcipher, "_POOL_MODE", "off")
+    hits, misses, entries = KEYSTREAM_POOL.hits, KEYSTREAM_POOL.misses, len(KEYSTREAM_POOL)
+    assert cipher.stream_for(nonce, 340) == expected
+    assert cipher.stream_for(nonce, 340) == expected
+    assert cipher.xor(nonce, b"\x00" * 100) == expected[:100]
+    assert (KEYSTREAM_POOL.hits, KEYSTREAM_POOL.misses) == (hits, misses)
+    assert len(KEYSTREAM_POOL) == entries
 
 
 @needs_openssl

@@ -11,6 +11,7 @@ from repro.crypto.certs import (
     verify_chain,
 )
 from repro.crypto.rsa import RSAError, RSAPublicKey, generate_rsa_key
+from repro.wire import DecodeError
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,32 @@ class TestRSA:
         ciphertext = key.public_key.encrypt(b"premaster")
         assert key.decrypt(ciphertext) == b"premaster"
 
+    def test_encrypt_padding_is_nonzero_and_round_trips(self, key):
+        for plaintext in (b"", b"premaster", b"x" * (key.byte_length - 11)):
+            ciphertext = key.public_key.encrypt(plaintext)
+            em = key._private_op(int.from_bytes(ciphertext, "big")).to_bytes(
+                key.byte_length, "big"
+            )
+            padding = em[2 : key.byte_length - 1 - len(plaintext)]
+            assert em[:2] == b"\x00\x02"
+            assert len(padding) >= 8 and b"\x00" not in padding
+            assert key.decrypt(ciphertext) == plaintext
+
+    def test_encrypt_redraws_zero_padding_bytes(self, key, monkeypatch):
+        """Zero bytes from the generator are replaced, never kept."""
+        draws = []
+
+        def token_bytes(n):
+            draws.append(n)
+            return b"\x00" * (n // 2) + b"\x07" * (n - n // 2)
+
+        monkeypatch.setattr("repro.crypto.rsa.secrets.token_bytes", token_bytes)
+        ciphertext = key.public_key.encrypt(b"secret")
+        assert draws[0] == key.byte_length - 3 - len(b"secret")
+        assert len(draws) > 1
+        monkeypatch.undo()
+        assert key.decrypt(ciphertext) == b"secret"
+
     def test_decrypt_rejects_tampering(self, key):
         ciphertext = bytearray(key.public_key.encrypt(b"secret"))
         ciphertext[-1] ^= 0xFF
@@ -60,6 +87,16 @@ class TestRSA:
     def test_public_key_trailing_bytes_rejected(self, key):
         with pytest.raises(RSAError):
             RSAPublicKey.from_bytes(key.public_key.to_bytes() + b"x")
+
+    def test_public_key_degenerate_values_rejected(self, key):
+        """Keys no generator makes are parse errors: a zero or tiny
+        modulus would make verify() fail untyped (mod-0 pow, or a modulus
+        too small for the SHA-256 encoding)."""
+        n = key.n
+        for bad_n, bad_e in [(0, 65537), (1, 65537), (n >> 8 | 1, 65537), (n + 1, 65537), (n, 2), (n, 1)]:
+            data = RSAPublicKey(n=bad_n, e=bad_e).to_bytes()
+            with pytest.raises(DecodeError):
+                RSAPublicKey.from_bytes(data)
 
     @given(st.binary(max_size=40))
     @settings(max_examples=10, deadline=None)
@@ -133,3 +170,17 @@ class TestCertificates:
     def test_truncated_certificate_rejected(self):
         with pytest.raises(CertificateError):
             Certificate.from_bytes(b"\x00\x05ab")
+
+    def test_malformed_certificate_bytes_raise_decode_error(self, server_identity):
+        """Every parse failure is a wire DecodeError (and still a
+        CertificateError or RSAError), so handshake boundaries close the
+        connection with an alert instead of leaking it."""
+        good = server_identity.certificate.to_bytes()
+        bad_name = b"\x00\x02\xff\xfe" + good[2 + int.from_bytes(good[:2], "big") :]
+        key_len_at = 2 + int.from_bytes(good[:2], "big")
+        key_len_at += 2 + int.from_bytes(good[key_len_at : key_len_at + 2], "big")
+        bad_key = bytearray(good)
+        bad_key[key_len_at + 2 + 2 + 64 - 1] ^= 1  # make the modulus even
+        for data in (good[:-1], good + b"\x00", bad_name, bytes(bad_key)):
+            with pytest.raises(DecodeError):
+                Certificate.from_bytes(data)

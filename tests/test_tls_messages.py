@@ -170,13 +170,10 @@ class TestDecodeRobustness:
     @given(st.binary(max_size=200))
     @settings(max_examples=60)
     def test_fuzz_decoders(self, data):
-        from repro.crypto.certs import CertificateError
-        from repro.crypto.rsa import RSAError
-
         for decode in self.CODECS:
             try:
                 decode(data)
-            except (DecodeError, CertificateError, RSAError):
+            except DecodeError:
                 pass  # structured rejection is the contract
 
 
